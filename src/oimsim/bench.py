@@ -1,8 +1,14 @@
 """Multi-run experiment harness: seeded sweeps, ablations, histograms, export.
 
-Runs are fanned out over a process pool in fixed seed chunks; chunking and
-seeding depend only on the spec, so results are identical for any
-parallelism degree, and rerunning a spec reproduces every per-run record.
+A planner splits a spec into work units: a group of consecutive problems
+of at most 256 spins in total (a larger problem alone), with a chunk of up
+to 10 seeds. A group is integrated as one block-diagonal system, and the
+units are fanned out over a process pool of at most one worker per unit.
+Units and seeding depend only on the spec, and every (problem, seed) run
+is bit-identical whether it executes singly, batched, packed or in a pool,
+so results are identical for any parallelism degree and rerunning a spec
+reproduces every per-run record. A run's secs is its unit's wall time
+split evenly among the unit's runs.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ __all__ = [
 
 _SEED_CHUNK = 10  # runs per vectorized batch; fixed so batching never depends
                   # on the parallelism degree
+_PACK_SPINS = 256  # consecutive problems share one block-diagonal integration
+                   # up to this many spins; small enough that a sweep of
+                   # small problems still spreads over several workers
 
 MODES = ("standard", "no_sync", "variability")
 
@@ -127,9 +136,29 @@ class RunSummary:
         raise KeyError(name)
 
 
-def _run_chunk(args):
-    problem, params, seeds, total_weight = args
-    return run_seeds(problem, params, seeds, total_weight=total_weight)
+def _plan(spec):
+    """Work units (problem indices, seed chunk), from the spec alone.
+
+    Consecutive problems are grouped while their spins total at most
+    _PACK_SPINS; a larger problem is a group of its own. Each group runs
+    every _SEED_CHUNK-seed chunk as one unit.
+    """
+    seeds = spec.seeds()
+    chunks = [seeds[k:k + _SEED_CHUNK] for k in range(0, len(seeds), _SEED_CHUNK)]
+    groups, spins = [], 0
+    for k, (_, problem, _) in enumerate(spec.problems):
+        if groups and spins + problem.n <= _PACK_SPINS:
+            groups[-1].append(k)
+            spins += problem.n
+        else:
+            groups.append([k])
+            spins = problem.n
+    return [(tuple(group), chunk) for group in groups for chunk in chunks]
+
+
+def _run_unit(args):
+    problems, params, seeds, total_weights = args
+    return run_seeds(problems, params, seeds, total_weight=total_weights)
 
 
 def _success_count(spec, name, problem, records):
@@ -177,24 +206,25 @@ def run_benchmark(spec, parallelism=1):
     if parallelism < 1:
         raise SpecificationError("parallelism must be >= 1")
     params = spec.effective_params
-    seeds = spec.seeds()
-    chunks = [seeds[k:k + _SEED_CHUNK] for k in range(0, len(seeds), _SEED_CHUNK)]
-    tasks = [(problem, params, chunk, tw)
-             for (name, problem, tw) in spec.problems
-             for chunk in chunks]
+    units = _plan(spec)
+    tasks = [(tuple(spec.problems[k][1] for k in group), params, chunk,
+              tuple(spec.problems[k][2] for k in group))
+             for group, chunk in units]
 
-    if parallelism == 1 or len(tasks) == 1:
-        outputs = [_run_chunk(t) for t in tasks]
+    workers = min(parallelism, len(tasks))
+    if workers <= 1:
+        outputs = [_run_unit(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            outputs = list(pool.map(_run_chunk, tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outputs = list(pool.map(_run_unit, tasks))
 
-    stats = []
-    per_problem = len(chunks)
-    for p, (name, problem, tw) in enumerate(spec.problems):
-        results = [r for out in outputs[p * per_problem:(p + 1) * per_problem]
-                   for r in out]
-        stats.append(_aggregate(spec, name, problem, tw, results))
+    # units run a group's chunks in seed order; each output is problem-major
+    results = [[] for _ in spec.problems]
+    for (group, chunk), out in zip(units, outputs):
+        for j, k in enumerate(group):
+            results[k].extend(out[j * len(chunk):(j + 1) * len(chunk)])
+    stats = [_aggregate(spec, name, problem, tw, res)
+             for (name, problem, tw), res in zip(spec.problems, results)]
     total = sum(r.secs for s in stats for r in s.records)
     return RunSummary(problems=tuple(stats), runs=spec.runs,
                       seed_base=spec.seed_base, mode=spec.mode,
@@ -242,7 +272,8 @@ def ablation_compare(problem, params, runs, seed_base, *, total_weight=None,
                      variability_pcts=(0.01, 0.05), parallelism=1, name="problem"):
     """Run SYNC vs no-SYNC and nominal vs frequency-variability variants.
 
-    Every variant uses the same seed list, so differences are paired.
+    Every variant uses the same seed list, so differences are paired. Each
+    variant is one run_benchmark call, planned into work units like any spec.
     """
     variants = {}
     configs = [("standard", "standard", 0.0), ("no_sync", "no_sync", 0.0)]

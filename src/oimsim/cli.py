@@ -200,7 +200,7 @@ def _cmd_bench(args):
     problems = []
     for fname in names:
         path = os.path.join(args.suite, fname)
-        if not os.path.isfile(path):
+        if fname.startswith(".") or fname.endswith(".md") or not os.path.isfile(path):
             continue
         problems.append(_load_problem(path))
     if not problems:
@@ -301,7 +301,9 @@ def build_parser():
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="run a suite of instances against the catalog")
-    p.add_argument("--suite", required=True, help="directory of instance files")
+    p.add_argument("--suite", required=True,
+                   help="directory of instance files; *.md files and dotfiles "
+                        "are skipped, every other file must be an instance")
     p.add_argument("--catalog", default=None,
                    help="best-known CSV (default: shipped catalog)")
     p.add_argument("--runs", type=int, default=100)

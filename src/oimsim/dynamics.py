@@ -38,9 +38,10 @@ from functools import lru_cache
 from importlib import resources
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DimensionError, NumericalDivergenceError, SpecificationError
-from .problems import hamiltonian, cut_from_hamiltonian
+from .problems import IsingProblem, hamiltonian, cut_from_hamiltonian
 
 __all__ = [
     "DEFAULTS",
@@ -67,7 +68,7 @@ _STREAM_NOISE = 2
 
 # noise is pregenerated in blocks for speed; numpy Generators produce the
 # same stream regardless of block shape, so this never changes results
-_MAX_NOISE_DOUBLES = 4_000_000
+_MAX_NOISE_DOUBLES = 262_144  # 2 MB
 
 
 @lru_cache(maxsize=1)
@@ -341,8 +342,9 @@ def _hamiltonian_cols(problem, S):
 def _advance(Phi, adj, h_col, Kdt, ks2dt, dt_dw, incr):
     """One Euler-Maruyama step, in place, on an (n, B) phase matrix.
 
-    ks2dt = 2*Ks(t)*dt (the sin(2 phi) term is computed as 2 sin cos);
-    dt_dw is the precomputed dt * detuning column(s); incr the pre-scaled
+    Kdt = K*dt, a scalar or one value per row (packed problems differ in
+    K when it is normalized by degree); ks2dt = 2*Ks(t)*dt (the sin(2 phi)
+    term is computed as 2 sin cos); dt_dw is the precomputed dt * detuning column(s); incr the pre-scaled
     noise increment. This single kernel serves both step() and the batch
     integrator so their arithmetic is identical.
     """
@@ -394,23 +396,40 @@ def step(state, problem, params, detuning=None, rng=None):
     return PhaseState(Phi[:, 0], state.time + dt)
 
 
+def _as_group(problem):
+    return (problem,) if isinstance(problem, IsingProblem) else tuple(problem)
+
+
 def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=None):
     """Integrate several independent runs as columns of one phase matrix.
 
-    Per-run randomness comes from each run's own seed substreams, so the
-    result for a given seed does not depend on which runs share the batch.
-    Returns (Phi, trace) with Phi of shape (n, B); trace is None or
-    (times, E, H) with E, H of shape (num_samples, B).
+    `problem` is one IsingProblem or a group (sequence) of them; a group is
+    integrated as one block-diagonal system whose rows are the problems'
+    spins in order, so each (problem, seed) block is one run. Every block
+    draws from its own seed substreams, and each row of the block-diagonal
+    product sums the same entries in the same order as the problem's own
+    matrix, so a run's result does not depend on which runs or problems
+    share the batch.
+    Returns (Phi, trace) with Phi of shape (sum of n, B); trace is None or
+    (times, E, H) with E, H of shape (num_samples, B), and needs a group of
+    one problem.
     """
-    n = problem.n
+    group = _as_group(problem)
+    sizes = [p.n for p in group]
+    offsets = np.cumsum([0] + sizes)
+    blocks = [(slice(a, a + m), m) for a, m in zip(offsets, sizes)]
+    n = int(offsets[-1])
     B = len(seeds)
     dt = params.dt
     total_steps = params.total_steps
+    if trace_steps is not None and len(group) != 1:
+        raise SpecificationError("an energy trace covers a single problem")
 
     Phi = np.empty((n, B))
     if initial_phases is None:
         for b, seed in enumerate(seeds):
-            Phi[:, b] = _substream(seed, _STREAM_INIT).random(n) * TWO_PI
+            for rows, m in blocks:
+                Phi[rows, b] = _substream(seed, _STREAM_INIT).random(m) * TWO_PI
     else:
         init = np.asarray(initial_phases, dtype=np.float64)
         if init.shape == (n,):
@@ -423,21 +442,29 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
 
     dt_dw = None
     if params.variability_pct > 0:
-        dw = np.column_stack([sample_detuning(n, params.variability_pct, seed)
-                              for seed in seeds])
+        dw = np.empty((n, B))
+        for b, seed in enumerate(seeds):
+            for rows, m in blocks:
+                dw[rows, b] = sample_detuning(m, params.variability_pct, seed)
         dt_dw = dt * dw
 
-    noise_gens = None
+    noise_gens = []
     scale = params.noise_amp * math.sqrt(dt)
     if params.noise_amp > 0:
-        noise_gens = [_substream(seed, _STREAM_NOISE) for seed in seeds]
+        noise_gens = [(rows, m, b, _substream(seed, _STREAM_NOISE))
+                      for b, seed in enumerate(seeds)
+                      for rows, m in blocks]
 
-    h_col = problem.h.reshape(-1, 1) if problem.has_fields else None
-    adj = problem.adjacency
-    K_eff = params.effective_K(problem)
-    Kdt = K_eff * dt
+    # a zero field adds exactly nothing, so fieldless problems may share h_col
+    h_col = None
+    if any(p.has_fields for p in group):
+        h_col = np.concatenate([p.h for p in group]).reshape(-1, 1)
+    adj = sp.block_diag([p.adjacency for p in group], format="csr")
+    K_eff = [params.effective_K(p) for p in group]
+    Kdt = np.repeat(np.multiply(K_eff, dt), sizes).reshape(-1, 1)
 
     if trace_steps is not None:
+        traced = group[0]
         trace_steps = np.asarray(trace_steps, dtype=np.int64)
         tr_times = trace_steps * dt
         tr_E = np.empty((len(trace_steps), B))
@@ -448,8 +475,8 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
             nonlocal tr_pos
             while tr_pos < len(trace_steps) and trace_steps[tr_pos] == k:
                 ks_now = float(params.ks_at(k * dt))
-                tr_E[tr_pos] = _lyapunov_cols(problem, Phi, K_eff, ks_now)
-                tr_H[tr_pos] = _hamiltonian_cols(problem, _round_cols(Phi))
+                tr_E[tr_pos] = _lyapunov_cols(traced, Phi, K_eff[0], ks_now)
+                tr_H[tr_pos] = _hamiltonian_cols(traced, _round_cols(Phi))
                 tr_pos += 1
 
         record(0)
@@ -459,10 +486,10 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
     while done < total_steps:
         L = min(chunk, total_steps - done)
         buf = None
-        if noise_gens is not None:
+        if noise_gens:
             buf = np.empty((L, n, B))
-            for b, gen in enumerate(noise_gens):
-                buf[:, :, b] = gen.standard_normal((L, n))
+            for rows, m, b, gen in noise_gens:
+                buf[:, rows, b] = gen.standard_normal((L, m))
             buf *= scale
         ks2dt = 2.0 * dt * np.asarray(params.ks_at((done + np.arange(L)) * dt),
                                       dtype=np.float64)
@@ -473,9 +500,12 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
                 record(done + k + 1)
         done += L
         if not np.all(np.isfinite(Phi)):
-            bad = ~np.isfinite(Phi).all(axis=0)
+            finite = np.isfinite(Phi)
+            b = int(np.argmin(finite.all(axis=0)))
+            p = int(np.searchsorted(offsets, np.argmin(finite[:, b]), side="right")) - 1
             raise NumericalDivergenceError(
-                "non-finite phases", step=done, seed=seeds[int(np.argmax(bad))])
+                "non-finite phases", step=done, seed=seeds[b],
+                problem=p if group[p].name is None else group[p].name)
 
     if trace_steps is not None:
         return Phi, (tr_times, tr_E, tr_H)
@@ -527,23 +557,36 @@ def simulate(problem, params=None, seed=0, *, total_weight=None,
 def run_seeds(problem, params, seeds, *, total_weight=None, polish=False):
     """Simulate several seeds batched as one vectorized integration.
 
-    Results are identical to calling simulate() per seed; batching only
-    amortizes per-step overhead. Used by the benchmark harness.
+    `problem` is one IsingProblem or a group (sequence) of them, packed
+    into one block-diagonal integration; for a group, total_weight is None
+    or one entry (None or a weight) per problem. Returns one RunResult per
+    (problem, seed), problem-major. Results are identical to calling
+    simulate() per problem and seed; batching and packing only amortize
+    per-step overhead, and each run's wall_time is an even share of the
+    integration's. Used by the benchmark harness.
     """
     if len(seeds) == 0:
         return []
+    group = _as_group(problem)
+    if isinstance(problem, IsingProblem):
+        total_weight = (total_weight,)
+    elif total_weight is None:
+        total_weight = (None,) * len(group)
     t0 = time.perf_counter()
-    Phi, _ = _integrate_batch(problem, params, list(seeds))
+    Phi, _ = _integrate_batch(group, params, list(seeds))
     spins_mat = _round_cols(Phi)
-    wall = (time.perf_counter() - t0) / len(seeds)
+    wall = (time.perf_counter() - t0) / (len(group) * len(seeds))
     out = []
-    for b, seed in enumerate(seeds):
-        spins = spins_mat[:, b]
-        if polish:
-            from .oracles import greedy_descent
-            spins, _ = greedy_descent(problem, spins)
-        H = hamiltonian(problem, spins)
-        cut = cut_from_hamiltonian(H, total_weight) if total_weight is not None else None
-        out.append(RunResult(final_spins=spins, final_H=H, final_cut=cut,
-                             seed=seed, wall_time=wall))
+    row = 0
+    for p, tw in zip(group, total_weight, strict=True):
+        for b, seed in enumerate(seeds):
+            spins = spins_mat[row:row + p.n, b]
+            if polish:
+                from .oracles import greedy_descent
+                spins, _ = greedy_descent(p, spins)
+            H = hamiltonian(p, spins)
+            cut = cut_from_hamiltonian(H, tw) if tw is not None else None
+            out.append(RunResult(final_spins=spins, final_H=H, final_cut=cut,
+                                 seed=seed, wall_time=wall))
+        row += p.n
     return out

@@ -34,13 +34,20 @@ class CapacityError(OimError):
 
 
 class NumericalDivergenceError(OimError):
-    """Integration produced non-finite phases. Carries the step index."""
+    """Integration produced non-finite phases.
 
-    def __init__(self, message, step=None, seed=None):
+    Carries the step index, and the seed and problem (its name, or its
+    position in a packed group when unnamed) of the first diverged run.
+    """
+
+    def __init__(self, message, step=None, seed=None, problem=None):
         if step is not None:
             message = f"{message} (by step {step})"
         if seed is not None:
             message = f"{message} [seed {seed}]"
+        if problem is not None:
+            message = f"{message} [problem {problem!r}]"
         super().__init__(message)
         self.step = step
         self.seed = seed
+        self.problem = problem

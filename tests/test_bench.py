@@ -83,6 +83,58 @@ class TestRunBenchmark:
         assert spec.effective_params.sync_enabled is False
 
 
+class TestPlanner:
+    def test_packs_consecutive_small_problems(self):
+        from oimsim.bench import _plan
+        sizes = [10] * 30 + [300] + [10] * 2 + [200, 100]
+        problems = tuple((f"p{k}", random_ising(n, Complete(), seed=k))
+                         for k, n in enumerate(sizes))
+        spec = BenchmarkSpec(problems=problems, runs=12)
+        groups = [tuple(range(25)), tuple(range(25, 30)), (30,), (31, 32, 33),
+                  (34,)]
+        chunks = [list(range(10)), [10, 11]]
+        assert _plan(spec) == [(g, c) for g in groups for c in chunks]
+
+    def test_pool_is_capped_at_unit_count(self, monkeypatch):
+        import oimsim.bench as bench
+
+        class Recorder:
+            max_workers = []
+
+            def __init__(self, max_workers):
+                Recorder.max_workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        problems = tuple((f"p{k}", random_ising(n, Complete(), seed=k))
+                         for k, n in enumerate([10] * 20 + [250]))
+        spec = BenchmarkSpec(problems=problems, params=quick_params(2.0), runs=3)
+        serial = run_benchmark(spec)
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", Recorder)
+        pooled = run_benchmark(spec, parallelism=64)
+        assert Recorder.max_workers == [2]
+        assert [[r.H for r in s.records] for s in serial.problems] == \
+               [[r.H for r in s.records] for s in pooled.problems]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_in_pool_names_seed_and_problem(self):
+        from oimsim import NumericalDivergenceError
+        ok = IsingProblem(2, [(0, 1, 1.0)])
+        bad = IsingProblem(3, [(0, 1, 1e308), (0, 2, 1e308)], name="bad")
+        spec = BenchmarkSpec(problems=(("ok", ok), ("bad", bad)),
+                             params=quick_params(1.0), runs=20, seed_base=7)
+        with pytest.raises(NumericalDivergenceError) as ei:
+            run_benchmark(spec, parallelism=2)
+        assert (ei.value.seed, ei.value.problem) == (7, "bad")
+
+
 class TestHistogram:
     def test_single_bin(self):
         h = histogram([0, 0, 0], bins=1)

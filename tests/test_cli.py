@@ -168,6 +168,21 @@ class TestBench:
         assert len(lines) == 3  # header + 2 problems
         assert (tmp_path / "bench.csv.meta.json").exists()
 
+    def test_bench_skips_readme_and_dotfiles(self, tmp_path):
+        suite = tmp_path / "gset"
+        suite.mkdir()
+        (suite / "README.md").write_text("# G-set instance files\n")
+        (suite / ".DS_Store").write_text("not an instance")
+        (suite / "G1").write_text(TRIANGLE_GSET)
+        (suite / "ferro.json").write_text(
+            write_ising_json(IsingProblem(2, [(0, 1, 1.0)], name="ferro")))
+        out = tmp_path / "bench.json"
+        code = run(["bench", "--suite", suite, "--runs", "2", "--cycles", "20",
+                    "--threads", "1", "--out", out])
+        assert code == 0
+        names = [p["name"] for p in json.loads(out.read_text())["problems"]]
+        assert names == ["G1", "ferro"]
+
     def test_bench_with_catalog(self, tmp_path):
         suite = tmp_path / "suite"
         suite.mkdir()

@@ -305,6 +305,53 @@ class TestSimulate:
         assert ei.value.step is not None
 
 
+class TestPackedGroups:
+    def test_noise_block_size_does_not_change_results(self, monkeypatch):
+        import oimsim.dynamics as dyn
+        p = random_problem(12, 2, with_fields=True)
+        prm = params_with(cycles=3.01, noise_amp=0.2, variability_pct=0.03)
+        seeds = [4, 5, 6]
+        ref, _ = dyn._integrate_batch(p, prm, seeds)
+        # 113 // (12 * 3) = 3 steps per block; 301 steps leave a short last block
+        monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", 113)
+        small, _ = dyn._integrate_batch(p, prm, seeds)
+        assert np.array_equal(ref, small)
+        assert np.array_equal(dyn._round_cols(ref), dyn._round_cols(small))
+
+    def test_group_returns_problem_major_results(self):
+        group = [random_problem(4, 1), random_problem(7, 2, with_fields=True)]
+        prm = params_with(cycles=3.0)
+        packed = run_seeds(group, prm, [8, 9], total_weight=(None, 3))
+        assert [(len(r.final_spins), r.seed) for r in packed] == \
+            [(4, 8), (4, 9), (7, 8), (7, 9)]
+        for problem, rs in ((group[0], packed[:2]), (group[1], packed[2:])):
+            for r in rs:
+                single = simulate(problem, prm, seed=r.seed)
+                assert np.array_equal(r.final_spins, single.final_spins)
+                assert r.final_H == single.final_H
+        assert packed[0].final_cut is None
+        assert packed[2].final_cut == (3 - packed[2].final_H) / 2
+
+    def test_trace_needs_one_problem(self):
+        from oimsim import SpecificationError
+        from oimsim.dynamics import _integrate_batch
+        group = [random_problem(4, 1), random_problem(4, 2)]
+        with pytest.raises(SpecificationError):
+            _integrate_batch(group, params_with(cycles=1.0), [0], trace_steps=[0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_seed_and_problem(self):
+        from oimsim.dynamics import _integrate_batch
+        ok = IsingProblem(2, [(0, 1, 1.0)], name="ok")
+        bad = IsingProblem(3, [(0, 1, 1e308), (0, 2, 1e308)], name="bad")
+        prm = params_with(ks_level=0.0, noise_amp=0.0, cycles=1.0,
+                          steps_per_cycle=1)
+        with pytest.raises(NumericalDivergenceError) as ei:
+            _integrate_batch([ok, bad], prm, [3, 4], initial_phases=np.zeros(5))
+        assert (ei.value.seed, ei.value.problem) == (3, "bad")
+        assert "'bad'" in str(ei.value)
+
+
 class TestLyapunovDescent:
     @pytest.mark.parametrize("seed", range(3))
     def test_noiseless_descent(self, seed):
