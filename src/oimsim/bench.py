@@ -4,17 +4,24 @@ A planner splits a spec into work units: a group of consecutive problems
 of at most 256 spins in total (a larger problem alone), with a chunk of up
 to 10 seeds. A group is integrated as one block-diagonal system, and the
 units are fanned out over a process pool of at most one worker per unit.
-Units and seeding depend only on the spec, and every (problem, seed) run
-is bit-identical whether it executes singly, batched, packed or in a pool,
-so results are identical for any parallelism degree and rerunning a spec
-reproduces every per-run record. A run's secs is its unit's wall time
-split evenly among the unit's runs.
+Variants of a spec that differ only in mode and variability_pct (an
+ablation) share the plan: each unit integrates every variant as column
+blocks of one phase matrix, drawing each seed's initial phases and noise
+once. Units and seeding depend only on the spec, and every (problem,
+seed) run is bit-identical whether it executes singly, batched, packed,
+beside other variants or in a pool, so results are identical for any
+parallelism degree and rerunning a spec reproduces every per-run record.
+A run's secs is its unit's wall time split evenly among all the unit's
+runs, of every variant.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import statistics
+import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -122,12 +129,20 @@ class ProblemStats:
 
 @dataclass(frozen=True)
 class RunSummary:
+    """Per-problem statistics of one spec.
+
+    total_secs is the summed per-run time; wall_secs is the wall time of
+    the run_benchmark call that produced it (shared by every variant it
+    ran).
+    """
+
     problems: tuple
     runs: int
     seed_base: int
     mode: str
     params_config: dict
     total_secs: float
+    wall_secs: float
 
     def stats(self, name):
         for p in self.problems:
@@ -157,8 +172,8 @@ def _plan(spec):
 
 
 def _run_unit(args):
-    problems, params, seeds, total_weights = args
-    return run_seeds(problems, params, seeds, total_weight=total_weights)
+    problems, variants, seeds, total_weights = args
+    return run_seeds(problems, variants, seeds, total_weight=total_weights)
 
 
 def _success_count(spec, name, problem, records):
@@ -201,14 +216,39 @@ def _aggregate(spec, name, problem, total_weight, results):
     )
 
 
+def _as_specs(spec):
+    """One spec, or variants that differ only in mode and variability_pct."""
+    specs = (spec,) if isinstance(spec, BenchmarkSpec) else tuple(spec)
+    if not specs:
+        raise SpecificationError("run_benchmark needs at least one spec")
+    shared = [(s.problems, s.params, s.runs, s.seed_base, s.oracle) for s in specs]
+    if any(key != shared[0] for key in shared[1:]):
+        raise SpecificationError(
+            "specs run together may differ only in mode and variability_pct")
+    return specs
+
+
 def run_benchmark(spec, parallelism=1):
-    """Execute a BenchmarkSpec; results do not depend on parallelism."""
+    """Execute a BenchmarkSpec; results do not depend on parallelism.
+
+    `spec` may also be a sequence of specs that differ only in mode and
+    variability_pct; they run as one plan, each unit integrating every
+    variant, and one RunSummary per spec is returned, in order. Each
+    result equals that of running its spec alone.
+    """
+    specs = _as_specs(spec)
     if parallelism < 1:
         raise SpecificationError("parallelism must be >= 1")
-    params = spec.effective_params
-    units = _plan(spec)
-    tasks = [(tuple(spec.problems[k][1] for k in group), params, chunk,
-              tuple(spec.problems[k][2] for k in group))
+    cpus = os.cpu_count()
+    if cpus is not None and parallelism > cpus:
+        warnings.warn(f"parallelism {parallelism} exceeds the {cpus} CPUs",
+                      RuntimeWarning, stacklevel=2)
+    t0 = time.perf_counter()
+    base = specs[0]
+    variants = tuple(s.effective_params for s in specs)
+    units = _plan(base)
+    tasks = [(tuple(base.problems[k][1] for k in group), variants, chunk,
+              tuple(base.problems[k][2] for k in group))
              for group, chunk in units]
 
     workers = min(parallelism, len(tasks))
@@ -218,17 +258,26 @@ def run_benchmark(spec, parallelism=1):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_run_unit, tasks))
 
-    # units run a group's chunks in seed order; each output is problem-major
-    results = [[] for _ in spec.problems]
+    # units run a group's chunks in seed order; each output is variant-major,
+    # then problem-major, then by seed
+    results = [[[] for _ in base.problems] for _ in specs]
     for (group, chunk), out in zip(units, outputs):
-        for j, k in enumerate(group):
-            results[k].extend(out[j * len(chunk):(j + 1) * len(chunk)])
-    stats = [_aggregate(spec, name, problem, tw, res)
-             for (name, problem, tw), res in zip(spec.problems, results)]
-    total = sum(r.secs for s in stats for r in s.records)
-    return RunSummary(problems=tuple(stats), runs=spec.runs,
-                      seed_base=spec.seed_base, mode=spec.mode,
-                      params_config=params.to_config(), total_secs=total)
+        B = len(chunk)
+        for v in range(len(specs)):
+            for j, k in enumerate(group):
+                start = (v * len(group) + j) * B
+                results[v][k].extend(out[start:start + B])
+    stats = [[_aggregate(s, name, problem, tw, res)
+              for (name, problem, tw), res in zip(s.problems, results[v])]
+             for v, s in enumerate(specs)]
+    wall = time.perf_counter() - t0
+    summaries = [RunSummary(problems=tuple(st), runs=s.runs,
+                            seed_base=s.seed_base, mode=s.mode,
+                            params_config=prm.to_config(),
+                            total_secs=sum(r.secs for p in st for r in p.records),
+                            wall_secs=wall)
+                 for s, prm, st in zip(specs, variants, stats)]
+    return summaries[0] if isinstance(spec, BenchmarkSpec) else summaries
 
 
 # --- histograms ---------------------------------------------------------------
@@ -272,18 +321,19 @@ def ablation_compare(problem, params, runs, seed_base, *, total_weight=None,
                      variability_pcts=(0.01, 0.05), parallelism=1, name="problem"):
     """Run SYNC vs no-SYNC and nominal vs frequency-variability variants.
 
-    Every variant uses the same seed list, so differences are paired. Each
-    variant is one run_benchmark call, planned into work units like any spec.
+    Every variant uses the same seed list, so differences are paired. All
+    variants go to one run_benchmark call and share its work units, each
+    seed's initial phases and noise; results equal separate runs.
     """
-    variants = {}
     configs = [("standard", "standard", 0.0), ("no_sync", "no_sync", 0.0)]
     configs += [(f"variability_{pct:g}", "variability", pct) for pct in variability_pcts]
-    for label, mode, pct in configs:
-        spec = BenchmarkSpec(problems=((name, problem, total_weight),),
-                             params=params, runs=runs, seed_base=seed_base,
-                             mode=mode, variability_pct=pct)
-        variants[label] = run_benchmark(spec, parallelism=parallelism).stats(name)
-    return AblationResult(variants)
+    specs = [BenchmarkSpec(problems=((name, problem, total_weight),),
+                           params=params, runs=runs, seed_base=seed_base,
+                           mode=mode, variability_pct=pct)
+             for _, mode, pct in configs]
+    summaries = run_benchmark(specs, parallelism=parallelism)
+    return AblationResult({label: summary.stats(name)
+                           for (label, _, _), summary in zip(configs, summaries)})
 
 
 # --- export --------------------------------------------------------------------
@@ -357,6 +407,7 @@ def _summary_json(summary, extra_meta=None):
         } for s in summary.problems],
         "timing": {
             "total_secs": summary.total_secs,
+            "wall_secs": summary.wall_secs,
             "per_problem_secs_per_run": {s.name: s.secs_per_run
                                          for s in summary.problems},
         },

@@ -22,7 +22,8 @@ coincide with Ising minima. Integration is fixed-step Euler-Maruyama:
 
     phi <- wrap(phi + drift * dt + noise_amp * sqrt(dt) * xi)
 
-Randomness is split into independent substreams of the run seed,
+where wrap is exactly np.mod(., 2*pi), bit for bit. Randomness is split
+into independent substreams of the run seed,
 Generator(PCG64(SeedSequence((seed, stream)))), with stream 0 = initial
 phases, 1 = detuning, 2 = integration noise. Runs are bit-reproducible for
 a fixed (problem, params, seed) on a given platform.
@@ -339,30 +340,68 @@ def _hamiltonian_cols(problem, S):
     return -pair - problem.h @ Sf
 
 
-def _advance(Phi, adj, h_col, Kdt, ks2dt, dt_dw, incr):
-    """One Euler-Maruyama step, in place, on an (n, B) phase matrix.
+def _wrap(Phi, lo=None, hi=None):
+    """Phi mod 2*pi in place, bit for bit equal to np.mod(Phi, 2*pi).
+
+    On [-2*pi, 4*pi) one subtraction or addition of 2*pi does it: x - 2*pi
+    is exact for x in [2*pi, 4*pi), where np.mod's fmod is exact too, and
+    for x in [-2*pi, 0) np.mod also rounds x + 2*pi once (so a tiny
+    negative x becomes 2*pi in both). Both masks come from the unwrapped
+    values, and adding +0.0 turns -0 into +0 as np.mod does. NaN, inf or
+    values out of that range take np.mod itself. lo and hi are optional
+    boolean work arrays of Phi's shape.
+    """
+    if not (Phi.min() >= -TWO_PI and Phi.max() < 2.0 * TWO_PI):
+        np.mod(Phi, TWO_PI, out=Phi)
+        return
+    hi = np.greater_equal(Phi, TWO_PI, out=hi)
+    lo = np.less(Phi, 0.0, out=lo)
+    np.subtract(Phi, TWO_PI, out=Phi, where=hi)
+    np.add(Phi, TWO_PI, out=Phi, where=lo)
+    Phi += 0.0
+
+
+def _workspace(shape):
+    """Scratch arrays for _advance: four float and two boolean."""
+    return tuple(np.empty(shape) for _ in range(4)) + \
+        tuple(np.empty(shape, dtype=bool) for _ in range(2))
+
+
+def _advance(Phi, adj, h_col, Kdt, ks2dt, dt_dw, incr, work):
+    """One Euler-Maruyama step, in place, on an (n, C) phase matrix.
 
     Kdt = K*dt, a scalar or one value per row (packed problems differ in
-    K when it is normalized by degree); ks2dt = 2*Ks(t)*dt (the sin(2 phi)
-    term is computed as 2 sin cos); dt_dw is the precomputed dt * detuning column(s); incr the pre-scaled
-    noise increment. This single kernel serves both step() and the batch
-    integrator so their arithmetic is identical.
+    K when it is normalized by degree); ks2dt = 2*Ks(t)*dt, None when the
+    SYNC term is off for every column, else a scalar or one value per
+    column (the sin(2 phi) term is computed as 2 sin cos); dt_dw is the
+    precomputed dt * detuning column(s); incr the pre-scaled noise
+    increment, of shape (n, B) with C a multiple of B: every B-column
+    variant block gets the same draws. work is _workspace(Phi.shape).
+    This single kernel serves both step() and the batch integrator so
+    their arithmetic is identical.
     """
-    c = np.cos(Phi)
-    s = np.sin(Phi)
-    g = s * (adj @ c)
-    g -= c * (adj @ s)
+    c, s, g, t, lo, hi = work
+    np.cos(Phi, out=c)
+    np.sin(Phi, out=s)
+    np.multiply(s, adj @ c, out=g)
+    np.multiply(c, adj @ s, out=t)
+    g -= t
     if h_col is not None:
-        g += h_col * s
+        np.multiply(h_col, s, out=t)
+        g += t
     g *= Kdt
-    if ks2dt != 0.0:
-        g += ks2dt * (s * c)
-    np.subtract(Phi, g, out=Phi)
+    if ks2dt is not None:
+        np.multiply(s, c, out=t)
+        t *= ks2dt
+        g += t
+    Phi -= g
     if dt_dw is not None:
         Phi += dt_dw
     if incr is not None:
-        Phi += incr
-    np.mod(Phi, TWO_PI, out=Phi)
+        n, B = incr.shape
+        blocks = Phi.reshape(n, -1, B)
+        blocks += incr[:, None, :]
+    _wrap(Phi, lo, hi)
 
 
 def step(state, problem, params, detuning=None, rng=None):
@@ -392,7 +431,8 @@ def step(state, problem, params, detuning=None, rng=None):
         if np.any(dw != 0.0):
             dt_dw = (dt * dw).reshape(-1, 1)
     _advance(Phi, problem.adjacency, h_col, params.effective_K(problem) * dt,
-             2.0 * dt * ks, dt_dw, incr)
+             2.0 * dt * ks if ks != 0.0 else None, dt_dw, incr,
+             _workspace(Phi.shape))
     return PhaseState(Phi[:, 0], state.time + dt)
 
 
@@ -400,52 +440,81 @@ def _as_group(problem):
     return (problem,) if isinstance(problem, IsingProblem) else tuple(problem)
 
 
+# what the variants of one batch must share: they differ only in SYNC, the
+# Ks schedule and frequency variability
+_SHARED = ("K", "noise_amp", "cycles", "steps_per_cycle", "normalize_by_degree")
+
+
+def _as_variants(params):
+    variants = (params,) if isinstance(params, DynamicsParams) else tuple(params)
+    if not variants:
+        raise SpecificationError("at least one DynamicsParams variant is needed")
+    for v in variants[1:]:
+        if any(getattr(v, f) != getattr(variants[0], f) for f in _SHARED):
+            raise SpecificationError(
+                f"batched variants must agree on {', '.join(_SHARED)}")
+    return variants
+
+
 def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=None):
     """Integrate several independent runs as columns of one phase matrix.
 
     `problem` is one IsingProblem or a group (sequence) of them; a group is
     integrated as one block-diagonal system whose rows are the problems'
-    spins in order, so each (problem, seed) block is one run. Every block
-    draws from its own seed substreams, and each row of the block-diagonal
+    spins in order, so each (problem, seed) block is one run. `params` is
+    one DynamicsParams or a tuple of V variants (see _SHARED); each variant
+    is a block of B = len(seeds) columns, variant-major, and all variants
+    share each seed's initial phases and noise draws. Every block draws
+    from its own seed substreams, and each row of the block-diagonal
     product sums the same entries in the same order as the problem's own
-    matrix, so a run's result does not depend on which runs or problems
-    share the batch.
-    Returns (Phi, trace) with Phi of shape (sum of n, B); trace is None or
+    matrix, so a run's result does not depend on which runs, problems or
+    variants share the batch.
+    Returns (Phi, trace) with Phi of shape (sum of n, V*B); trace is None or
     (times, E, H) with E, H of shape (num_samples, B), and needs a group of
-    one problem.
+    one problem and one variant.
     """
     group = _as_group(problem)
+    variants = _as_variants(params)
+    params = variants[0]  # for the fields that every variant shares
     sizes = [p.n for p in group]
     offsets = np.cumsum([0] + sizes)
     blocks = [(slice(a, a + m), m) for a, m in zip(offsets, sizes)]
     n = int(offsets[-1])
     B = len(seeds)
+    V = len(variants)
     dt = params.dt
     total_steps = params.total_steps
-    if trace_steps is not None and len(group) != 1:
-        raise SpecificationError("an energy trace covers a single problem")
+    if trace_steps is not None and (len(group) != 1 or V != 1):
+        raise SpecificationError("an energy trace covers a single problem and variant")
 
-    Phi = np.empty((n, B))
+    Phi = np.empty((n, V * B))
+    first = Phi[:, :B]
     if initial_phases is None:
         for b, seed in enumerate(seeds):
             for rows, m in blocks:
-                Phi[rows, b] = _substream(seed, _STREAM_INIT).random(m) * TWO_PI
+                first[rows, b] = _substream(seed, _STREAM_INIT).random(m) * TWO_PI
     else:
         init = np.asarray(initial_phases, dtype=np.float64)
         if init.shape == (n,):
-            Phi[:] = init[:, None]
+            first[:] = init[:, None]
         elif init.shape == (n, B):
-            Phi[:] = init
+            first[:] = init
         else:
             raise DimensionError(f"initial_phases must have shape ({n},) or ({n}, {B})")
-        Phi %= TWO_PI
+        first %= TWO_PI
+    for v in range(1, V):
+        Phi[:, v * B:(v + 1) * B] = first
 
+    # columns without variability add +0.0, which is exact: Phi is never -0
     dt_dw = None
-    if params.variability_pct > 0:
-        dw = np.empty((n, B))
-        for b, seed in enumerate(seeds):
-            for rows, m in blocks:
-                dw[rows, b] = sample_detuning(m, params.variability_pct, seed)
+    if any(v.variability_pct > 0 for v in variants):
+        dw = np.zeros((n, V * B))
+        for v, prm in enumerate(variants):
+            if prm.variability_pct > 0:
+                for b, seed in enumerate(seeds):
+                    for rows, m in blocks:
+                        dw[rows, v * B + b] = sample_detuning(
+                            m, prm.variability_pct, seed)
         dt_dw = dt * dw
 
     noise_gens = []
@@ -462,6 +531,7 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
     adj = sp.block_diag([p.adjacency for p in group], format="csr")
     K_eff = [params.effective_K(p) for p in group]
     Kdt = np.repeat(np.multiply(K_eff, dt), sizes).reshape(-1, 1)
+    work = _workspace(Phi.shape)
 
     if trace_steps is not None:
         traced = group[0]
@@ -491,20 +561,24 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
             for rows, m, b, gen in noise_gens:
                 buf[:, rows, b] = gen.standard_normal((L, m))
             buf *= scale
-        ks2dt = 2.0 * dt * np.asarray(params.ks_at((done + np.arange(L)) * dt),
-                                      dtype=np.float64)
+        # 2*Ks*dt per (step, column); a step with Ks = 0 everywhere skips it
+        t = (done + np.arange(L)) * dt
+        ks2dt = 2.0 * dt * np.array([np.asarray(v.ks_at(t), dtype=np.float64)
+                                     for v in variants])
+        ks_on = ks2dt.any(axis=0)
+        ks_cols = np.repeat(ks2dt.T, B, axis=1)
         for k in range(L):
-            _advance(Phi, adj, h_col, Kdt, float(ks2dt[k]), dt_dw,
-                     None if buf is None else buf[k])
+            _advance(Phi, adj, h_col, Kdt, ks_cols[k] if ks_on[k] else None,
+                     dt_dw, None if buf is None else buf[k], work)
             if trace_steps is not None:
                 record(done + k + 1)
         done += L
         if not np.all(np.isfinite(Phi)):
             finite = np.isfinite(Phi)
-            b = int(np.argmin(finite.all(axis=0)))
-            p = int(np.searchsorted(offsets, np.argmin(finite[:, b]), side="right")) - 1
+            col = int(np.argmin(finite.all(axis=0)))
+            p = int(np.searchsorted(offsets, np.argmin(finite[:, col]), side="right")) - 1
             raise NumericalDivergenceError(
-                "non-finite phases", step=done, seed=seeds[b],
+                "non-finite phases", step=done, seed=seeds[col % B],
                 problem=p if group[p].name is None else group[p].name)
 
     if trace_steps is not None:
@@ -559,34 +633,41 @@ def run_seeds(problem, params, seeds, *, total_weight=None, polish=False):
 
     `problem` is one IsingProblem or a group (sequence) of them, packed
     into one block-diagonal integration; for a group, total_weight is None
-    or one entry (None or a weight) per problem. Returns one RunResult per
-    (problem, seed), problem-major. Results are identical to calling
-    simulate() per problem and seed; batching and packing only amortize
-    per-step overhead, and each run's wall_time is an even share of the
-    integration's. Used by the benchmark harness.
+    or one entry (None or a weight) per problem. `params` is one
+    DynamicsParams or a tuple of variants that agree on K, noise_amp,
+    cycles, steps_per_cycle and normalize_by_degree; they share one
+    integration and each seed's draws. Returns one RunResult per
+    (variant, problem, seed): variant-major, then problem-major, then by
+    seed. Results are identical to calling simulate() per variant, problem
+    and seed; batching and packing only amortize per-step overhead, and
+    each run's wall_time is an even share of the integration's. Used by
+    the benchmark harness.
     """
     if len(seeds) == 0:
         return []
     group = _as_group(problem)
+    variants = _as_variants(params)
     if isinstance(problem, IsingProblem):
         total_weight = (total_weight,)
     elif total_weight is None:
         total_weight = (None,) * len(group)
+    B = len(seeds)
     t0 = time.perf_counter()
-    Phi, _ = _integrate_batch(group, params, list(seeds))
+    Phi, _ = _integrate_batch(group, variants, list(seeds))
     spins_mat = _round_cols(Phi)
-    wall = (time.perf_counter() - t0) / (len(group) * len(seeds))
+    wall = (time.perf_counter() - t0) / (len(variants) * len(group) * B)
     out = []
-    row = 0
-    for p, tw in zip(group, total_weight, strict=True):
-        for b, seed in enumerate(seeds):
-            spins = spins_mat[row:row + p.n, b]
-            if polish:
-                from .oracles import greedy_descent
-                spins, _ = greedy_descent(p, spins)
-            H = hamiltonian(p, spins)
-            cut = cut_from_hamiltonian(H, tw) if tw is not None else None
-            out.append(RunResult(final_spins=spins, final_H=H, final_cut=cut,
-                                 seed=seed, wall_time=wall))
-        row += p.n
+    for v in range(len(variants)):
+        row = 0
+        for p, tw in zip(group, total_weight, strict=True):
+            for b, seed in enumerate(seeds):
+                spins = spins_mat[row:row + p.n, v * B + b]
+                if polish:
+                    from .oracles import greedy_descent
+                    spins, _ = greedy_descent(p, spins)
+                H = hamiltonian(p, spins)
+                cut = cut_from_hamiltonian(H, tw) if tw is not None else None
+                out.append(RunResult(final_spins=spins, final_H=H, final_cut=cut,
+                                     seed=seed, wall_time=wall))
+            row += p.n
     return out

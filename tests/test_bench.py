@@ -235,3 +235,116 @@ class TestExport:
     def test_bad_format(self, ferro_summary):
         with pytest.raises(SpecificationError):
             export(ferro_summary, "xml")
+
+
+class Recorder:
+    """Stands in for ProcessPoolExecutor: records the pool size, runs inline."""
+
+    max_workers = []
+
+    def __init__(self, max_workers):
+        Recorder.max_workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def variant_specs(problems, runs=12, **kw):
+    prm = DynamicsParams(cycles=3.0, steps_per_cycle=50,
+                         ks_schedule=KsSchedule.ramp(0.0, 1.5, 1.0),
+                         normalize_by_degree=True)
+    common = dict(problems=problems, params=prm, runs=runs, seed_base=2, **kw)
+    return [BenchmarkSpec(**common),
+            BenchmarkSpec(mode="no_sync", **common),
+            BenchmarkSpec(mode="variability", variability_pct=0.03, **common)]
+
+
+def rows(summary):
+    return [(s.name, r.seed, r.H, r.cut, tuple(s.best_spins), s.success)
+            for s in summary.problems for r in s.records]
+
+
+class TestSpecVariants:
+    def problems(self):
+        small = [(f"s{k}", random_ising(10, Complete(), seed=k), 30)
+                 for k in range(4)]
+        from oimsim import Torus
+        return tuple(small + [("t", random_ising(300, Torus(15, 20), seed=9))])
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_equal_separate_runs(self, parallelism):
+        specs = variant_specs(self.problems())
+        together = run_benchmark(specs, parallelism=parallelism)
+        assert [s.mode for s in together] == ["standard", "no_sync", "variability"]
+        for spec, summary in zip(specs, together, strict=True):
+            alone = run_benchmark(spec)
+            assert rows(summary) == rows(alone)
+            assert summary.params_config == alone.params_config
+
+    def test_one_spec_in_a_list_gives_a_list(self):
+        spec = variant_specs(self.problems()[:1], runs=2)[0]
+        out = run_benchmark([spec])
+        assert isinstance(out, list) and len(out) == 1
+        assert rows(out[0]) == rows(run_benchmark(spec))
+
+    def test_incompatible_specs_rejected(self):
+        problems = self.problems()
+        specs = variant_specs(problems)
+        for other in (variant_specs(problems, runs=5)[1],
+                      variant_specs(problems[:2])[1],
+                      variant_specs(problems, oracle="brute")[1],
+                      BenchmarkSpec(problems=problems, runs=12, seed_base=2)):
+            with pytest.raises(SpecificationError):
+                run_benchmark([specs[0], other])
+        with pytest.raises(SpecificationError):
+            run_benchmark([])
+
+    def test_one_unit_carries_all_variants(self, monkeypatch):
+        import oimsim.bench as bench
+        calls = []
+        real = bench.run_seeds
+
+        def counting(problems, variants, seeds, **kw):
+            calls.append((len(problems), len(variants), len(seeds)))
+            return real(problems, variants, seeds, **kw)
+
+        monkeypatch.setattr(bench, "run_seeds", counting)
+        run_benchmark(variant_specs(self.problems()))
+        # groups: the four n=10 problems, then the n=300 one; chunks 10 + 2
+        assert calls == [(4, 3, 10), (4, 3, 2), (1, 3, 10), (1, 3, 2)]
+
+
+class TestTiming:
+    def test_wall_secs_is_the_call_and_total_secs_the_runs(self):
+        specs = variant_specs(TestSpecVariants().problems(), runs=3)
+        summaries = run_benchmark(specs)
+        walls = {s.wall_secs for s in summaries}
+        assert len(walls) == 1
+        # at parallelism 1 the runs' shares of unit time fit in the call
+        assert 0 < sum(s.total_secs for s in summaries) <= walls.pop()
+        timing = json.loads(export(summaries[0], "json"))["timing"]
+        assert timing["wall_secs"] == summaries[0].wall_secs
+        assert timing["total_secs"] == summaries[0].total_secs
+
+    def test_warns_above_cpu_count(self, monkeypatch):
+        import os
+        import warnings
+        import oimsim.bench as bench
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        problems = tuple((f"p{k}", random_ising(250, Complete(), seed=k))
+                         for k in range(2))
+        spec = BenchmarkSpec(problems=problems, params=quick_params(1.0), runs=2)
+        Recorder.max_workers = []
+        with pytest.warns(RuntimeWarning, match="parallelism 2 exceeds"):
+            run_benchmark(spec, parallelism=2)
+        assert Recorder.max_workers == [2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_benchmark(spec, parallelism=1)

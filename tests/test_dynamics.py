@@ -1,10 +1,13 @@
 """Tests for the oscillator phase dynamics and its Lyapunov function."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oimsim import (Complete, DynamicsParams, IsingProblem, KsSchedule,
                     NumericalDivergenceError, PhaseState, Torus, drift,
@@ -387,3 +390,120 @@ class TestAblationNonBinary:
         Phi, _ = _integrate_batch(torus, prm, [0, 1, 2])
         frac = np.mean(np.abs(np.cos(Phi)) > 0.9)
         assert frac > 0.8
+
+
+TWO_PI = 2.0 * np.pi
+WRAP_EDGES = [-0.0, 0.0, -5e-324, -1e-17, TWO_PI, -TWO_PI,
+              np.nextafter(TWO_PI, 0), np.nextafter(2 * TWO_PI, 0)]
+
+
+def wrapped(values):
+    from oimsim.dynamics import _wrap
+    x = np.array(values, dtype=np.float64)
+    _wrap(x)
+    return x
+
+
+class TestExactWrap:
+    @given(st.lists(st.floats(min_value=-TWO_PI, max_value=2 * TWO_PI,
+                              exclude_max=True), max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_mod_bit_for_bit(self, values):
+        x = np.array(values + WRAP_EDGES)
+        # int64 views compare bits, so -0.0 and +0.0 differ
+        assert np.array_equal(wrapped(x).view(np.int64),
+                              np.mod(x, TWO_PI).view(np.int64))
+
+    def test_edge_values(self):
+        out = wrapped(WRAP_EDGES)
+        assert list(out.view(np.int64)) == \
+            list(np.mod(WRAP_EDGES, TWO_PI).view(np.int64))
+        assert np.signbit(out[0]) == False  # noqa: E712 (-0 becomes +0)
+        assert out[2] == TWO_PI  # a tiny negative rounds up to 2*pi, as np.mod
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("values", [
+        [np.nan, 5 * np.pi], [np.inf, 1.0], [-np.inf, 1.0], [5 * np.pi, 1.0],
+        [-3 * np.pi, 1.0], [2 * TWO_PI, 1.0], [np.nextafter(-TWO_PI, -7.0)]])
+    def test_out_of_range_falls_back_to_mod(self, values):
+        # one subtraction or addition of 2*pi would leave these out of
+        # [0, 2*pi) (or turn inf into inf), so equality shows np.mod ran
+        expected = np.mod(values, TWO_PI)
+        assert np.array_equal(wrapped(values), expected, equal_nan=True)
+
+    def test_matrix_with_work_arrays(self):
+        from oimsim.dynamics import _wrap
+        x = np.random.default_rng(0).uniform(-TWO_PI, 2 * TWO_PI, (50, 6))
+        expected = np.mod(x, TWO_PI)
+        lo, hi = np.empty(x.shape, bool), np.empty(x.shape, bool)
+        _wrap(x, lo, hi)
+        assert np.array_equal(x.view(np.int64), expected.view(np.int64))
+
+
+class TestVariantBatches:
+    def variants(self):
+        base = params_with(cycles=4.0, noise_amp=0.3, steps_per_cycle=50,
+                           normalize_by_degree=True,
+                           ks_schedule=KsSchedule.ramp(0.5, 2.0, 1.0))
+        return (base, base.without_sync(),
+                dataclasses.replace(base, variability_pct=0.04),
+                dataclasses.replace(base, ks_schedule=KsSchedule.constant(0.7)))
+
+    def test_run_seeds_variants_equal_one_run_per_variant(self):
+        group = [random_problem(6, 1, with_fields=True), random_problem(9, 2),
+                 random_problem(5, 3)]
+        seeds = [11, 12, 13]
+        variants = self.variants()
+        fused = run_seeds(group, variants, seeds, total_weight=(None, 7, None))
+        expected = [r for prm in variants
+                    for r in run_seeds(group, prm, seeds, total_weight=(None, 7, None))]
+        assert len(fused) == len(variants) * len(group) * len(seeds)
+        for a, b in zip(fused, expected, strict=True):
+            assert a.seed == b.seed
+            assert np.array_equal(a.final_spins, b.final_spins)
+            assert (a.final_H, a.final_cut) == (b.final_H, b.final_cut)
+
+    def test_phase_blocks_are_bit_identical(self):
+        from oimsim.dynamics import _integrate_batch
+        group = [random_problem(6, 4, with_fields=True), random_problem(8, 5)]
+        seeds = [0, 1]
+        variants = self.variants()
+        Phi, _ = _integrate_batch(group, variants, seeds)
+        for v, prm in enumerate(variants):
+            alone, _ = _integrate_batch(group, prm, seeds)
+            block = Phi[:, v * len(seeds):(v + 1) * len(seeds)]
+            assert np.array_equal(block.view(np.int64), alone.view(np.int64))
+
+    @pytest.mark.parametrize("field", ["K", "noise_amp", "cycles",
+                                       "steps_per_cycle", "normalize_by_degree"])
+    def test_incompatible_variants_rejected(self, field):
+        from oimsim import SpecificationError
+        base = params_with(cycles=1.0)
+        other = dataclasses.replace(base, **{field: {
+            "K": 2.0, "noise_amp": 0.5, "cycles": 2.0, "steps_per_cycle": 7,
+            "normalize_by_degree": not base.normalize_by_degree}[field]})
+        with pytest.raises(SpecificationError):
+            run_seeds(random_problem(4, 0), (base, other), [0])
+        with pytest.raises(SpecificationError):
+            run_seeds(random_problem(4, 0), (), [0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_seed_of_column_and_problem(self):
+        from oimsim.dynamics import _integrate_batch
+        ok = IsingProblem(2, [(0, 1, 1.0)], name="ok")
+        bad = IsingProblem(2, [(0, 1, 1.5e308)], name="bad")
+        base = DynamicsParams(K=1.0, noise_amp=0.0, cycles=1.0, steps_per_cycle=1,
+                              ks_schedule=KsSchedule.constant(5e307))
+        # SYNC pushes |drift| of 'bad' past the float range only at the
+        # phases (pi/4, -pi/4), given to seed 3 alone: the only non-finite
+        # column is variant 1, seed 3 (column 2 of 4)
+        init = np.zeros((4, 2))
+        init[2:, 0] = [np.pi / 4, -np.pi / 4]
+        with pytest.raises(NumericalDivergenceError) as ei:
+            _integrate_batch([ok, bad], (base.without_sync(), base), [3, 4],
+                             initial_phases=init)
+        assert (ei.value.seed, ei.value.problem) == (3, "bad")
+        # without SYNC nothing diverges
+        Phi, _ = _integrate_batch([ok, bad], base.without_sync(), [3, 4],
+                                  initial_phases=init)
+        assert np.all(np.isfinite(Phi))

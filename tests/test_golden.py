@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from oimsim import (BenchmarkSpec, Complete, DynamicsParams, IsingProblem,
-                    KsSchedule, Torus, random_ising, run_benchmark, run_seeds,
-                    simulate)
+                    KsSchedule, Torus, ablation_compare, random_ising,
+                    run_benchmark, run_seeds, simulate)
 
 # 300 steps span more than one noise block at every block size the integrator picks
 PARAMS = DynamicsParams(cycles=6.0, steps_per_cycle=50,
@@ -28,6 +28,8 @@ GOLDEN = {
     "bench_standard": "26706235591a8edff3495f6a0d71a4a90bde81bb05268bcff8ca8e993d3ccc7f",
     "bench_no_sync": "eb6739d4fe5de1bc310d360993791f1872fb6ba1a2ee1c418d84cd7972335d5f",
     "bench_variability": "f83a62ff6c02787c3c3024661e159d9aa4d7a86da23f72569f93d2d5417b5214",
+    # every variant of ablation_compare, in variant order
+    "ablation": "9cd9e0d6ef435851d3eea4ef9f81af7785600208b3065e1495665df9fad4e431",
 }
 
 
@@ -90,3 +92,17 @@ def test_run_benchmark_golden(mode, parallelism):
     rows = [(r.seed, stats.best_spins if r.H == stats.best_H else (), r.H)
             for stats in summary.problems for r in stats.records]
     assert digest(rows) == GOLDEN[f"bench_{mode}"]
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_ablation_golden(parallelism):
+    # 12 runs: one full 10-seed chunk and one partial chunk per variant
+    params = replace(PARAMS, normalize_by_degree=True)
+    result = ablation_compare(with_fields(20, 3), params, runs=12, seed_base=3,
+                              total_weight=40.0, variability_pcts=(0.01, 0.05),
+                              parallelism=parallelism)
+    assert list(result.variants) == ["standard", "no_sync", "variability_0.01",
+                                     "variability_0.05"]
+    rows = [(r.seed, stats.best_spins if r.H == stats.best_H else (), r.H)
+            for stats in result.variants.values() for r in stats.records]
+    assert digest(rows) == GOLDEN["ablation"]
