@@ -22,7 +22,7 @@ from .generators import Complete, Torus, random_ising
 from .io import (default_catalog, load_catalog, load_gset, load_ising_json,
                  parse_gset, write_gset, write_ising_json)
 from .oracles import SaParams, brute_force, simulated_annealing
-from .problems import cut_value, maxcut_to_ising
+from .problems import WeightedGraph, cut_value, maxcut_to_ising
 
 TRACE_MAX_POINTS = 10_000
 
@@ -247,12 +247,10 @@ def _cmd_convert(args):
     if problem.has_fields:
         raise ParseError("cannot convert to gset: problem has nonzero fields h")
     ei, ej, jv = problem.edge_arrays
-    if not all(float(v) == int(v) for v in jv):
-        raise ParseError("cannot convert to gset: couplings are not integers")
-    from .problems import WeightedGraph
-    graph = WeightedGraph(problem.n,
-                          [(int(i), int(j), -int(v)) for i, j, v in zip(ei, ej, jv)],
-                          name=problem.name)
+    try:
+        graph = WeightedGraph(problem.n, zip(ei, ej, -jv), name=problem.name)
+    except SpecificationError as e:
+        raise ParseError(f"cannot convert to gset: {e}") from None
     _emit(write_gset(graph), args.out)
     return 0
 

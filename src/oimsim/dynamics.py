@@ -22,7 +22,11 @@ coincide with Ising minima. Integration is fixed-step Euler-Maruyama:
 
     phi <- wrap(phi + drift * dt + noise_amp * sqrt(dt) * xi)
 
-where wrap is exactly np.mod(., 2*pi), bit for bit. Randomness is split
+where wrap is exactly np.mod(., 2*pi), bit for bit. One coupling kernel,
+_coupling, computes K*dt times the coupling and field terms plus the SYNC
+term for drift(), step() and the batch integrator alike, so their
+arithmetic is identical; the sin(2 phi) term is computed as
+2 sin(phi) cos(phi) everywhere. Randomness is split
 into independent substreams of the run seed,
 Generator(PCG64(SeedSequence((seed, stream)))), with stream 0 = initial
 phases, 1 = detuning, 2 = integration noise. Runs are bit-reproducible for
@@ -42,6 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionError, NumericalDivergenceError, SpecificationError
+from .oracles import greedy_descent
 from .problems import IsingProblem, hamiltonian, cut_from_hamiltonian
 
 __all__ = [
@@ -276,53 +281,60 @@ def sample_detuning(n, variability_pct, seed):
 
 
 def round_phases(state):
-    """Threshold phases to spins: +1 where cos(phi) >= 0, else -1."""
+    """Threshold phases (a PhaseState or an array of any shape) to spins:
+    +1 where cos(phi) >= 0, else -1."""
     phases = getattr(state, "phases", state)
     return np.where(np.cos(phases) >= 0.0, 1, -1).astype(np.int8)
 
 
-def _round_cols(Phi):
-    return np.where(np.cos(Phi) >= 0.0, 1, -1).astype(np.int8)
+def _columns(problem, state, detuning=None):
+    """The state's phases and the detuning (None when not given) as (n, 1)
+    columns, checked against n."""
+    phi = state.phases
+    if phi.shape != (problem.n,):
+        raise DimensionError(f"state has {phi.shape[0]} phases, problem has n={problem.n}")
+    if detuning is None:
+        return phi.reshape(-1, 1), None
+    dw = np.asarray(detuning, dtype=np.float64)
+    if dw.shape != (problem.n,):
+        raise DimensionError("detuning length must equal n")
+    return phi.reshape(-1, 1), dw.reshape(-1, 1)
+
+
+def _kernel_args(problem, params, t, dt):
+    """_coupling's (adj, h_col, Kdt, ks2dt) for one problem at time t."""
+    ks = float(params.ks_at(t))
+    return (problem.adjacency, _field_col((problem,)), params.effective_K(problem) * dt,
+            2.0 * dt * ks if ks != 0.0 else None)
+
+
+def _field_col(group):
+    """The stacked fields as one column, None when no problem has any (a
+    zero field adds exactly nothing, so fieldless problems may share it)."""
+    if not any(p.has_fields for p in group):
+        return None
+    return np.concatenate([p.h for p in group]).reshape(-1, 1)
 
 
 def drift(problem, state, params, detuning=None):
     """Deterministic part of d phi / dt at the state's time."""
-    phi = state.phases
-    if phi.shape != (problem.n,):
-        raise DimensionError(f"state has {phi.shape[0]} phases, problem has n={problem.n}")
-    adj = problem.adjacency
-    c = np.cos(phi)
-    s = np.sin(phi)
-    coupling = s * (adj @ c) - c * (adj @ s)  # sum_j J_ij sin(phi_i - phi_j)
-    if problem.has_fields:
-        coupling = coupling + problem.h * s
-    ks = float(params.ks_at(state.time))
-    d = -params.effective_K(problem) * coupling - ks * np.sin(2.0 * phi)
-    if detuning is not None:
-        dw = np.asarray(detuning, dtype=np.float64)
-        if dw.shape != (problem.n,):
-            raise DimensionError("detuning length must equal n")
-        d = d + dw
-    return d
+    Phi, dw = _columns(problem, state, detuning)
+    d = -_coupling(Phi, *_kernel_args(problem, params, state.time, 1.0),
+                   _workspace(Phi.shape))
+    if dw is not None:
+        d += dw
+    return d[:, 0]
 
 
 def lyapunov(problem, state, params):
     """Global energy function E(phi); the noiseless flow descends it."""
-    phi = state.phases
-    if phi.shape != (problem.n,):
-        raise DimensionError(f"state has {phi.shape[0]} phases, problem has n={problem.n}")
-    adj = problem.adjacency
-    c = np.cos(phi)
-    s = np.sin(phi)
-    pair = 0.5 * (c @ (adj @ c) + s @ (adj @ s))  # sum_{i<j} J_ij cos(phi_i-phi_j)
-    e = -params.effective_K(problem) * (pair + problem.h @ c)
+    Phi, _ = _columns(problem, state)
     ks = float(params.ks_at(state.time))
-    if ks != 0.0:
-        e -= 0.5 * ks * np.sum(np.cos(2.0 * phi))
-    return float(e)
+    return float(_lyapunov_cols(problem, Phi, params.effective_K(problem), ks)[0])
 
 
 def _lyapunov_cols(problem, Phi, K, ks):
+    """E for every column of an (n, C) phase matrix."""
     adj = problem.adjacency
     C = np.cos(Phi)
     S = np.sin(Phi)
@@ -331,13 +343,6 @@ def _lyapunov_cols(problem, Phi, K, ks):
     if ks != 0.0:
         e = e - 0.5 * ks * np.sum(np.cos(2.0 * Phi), axis=0)
     return e
-
-
-def _hamiltonian_cols(problem, S):
-    ei, ej, jv = problem.edge_arrays
-    Sf = S.astype(np.float64)
-    pair = jv @ (Sf[ei] * Sf[ej]) if len(jv) else 0.0
-    return -pair - problem.h @ Sf
 
 
 def _wrap(Phi, lo=None, hi=None):
@@ -362,25 +367,20 @@ def _wrap(Phi, lo=None, hi=None):
 
 
 def _workspace(shape):
-    """Scratch arrays for _advance: four float and two boolean."""
+    """Scratch arrays for _coupling and _advance: four float and two boolean."""
     return tuple(np.empty(shape) for _ in range(4)) + \
         tuple(np.empty(shape, dtype=bool) for _ in range(2))
 
 
-def _advance(Phi, adj, h_col, Kdt, ks2dt, dt_dw, incr, work):
-    """One Euler-Maruyama step, in place, on an (n, C) phase matrix.
+def _coupling(Phi, adj, h_col, Kdt, ks2dt, work):
+    """-dt times the drift without detuning, in work's third array.
 
-    Kdt = K*dt, a scalar or one value per row (packed problems differ in
-    K when it is normalized by degree); ks2dt = 2*Ks(t)*dt, None when the
+    Kdt = K*dt is a scalar or one value per row (packed problems differ in
+    K when it is normalized by degree); ks2dt = 2*Ks(t)*dt is None when the
     SYNC term is off for every column, else a scalar or one value per
-    column (the sin(2 phi) term is computed as 2 sin cos); dt_dw is the
-    precomputed dt * detuning column(s); incr the pre-scaled noise
-    increment, of shape (n, B) with C a multiple of B: every B-column
-    variant block gets the same draws. work is _workspace(Phi.shape).
-    This single kernel serves both step() and the batch integrator so
-    their arithmetic is identical.
+    column. work is _workspace(Phi.shape) for an (n, C) phase matrix.
     """
-    c, s, g, t, lo, hi = work
+    c, s, g, t = work[:4]
     np.cos(Phi, out=c)
     np.sin(Phi, out=s)
     np.multiply(s, adj @ c, out=g)
@@ -394,14 +394,25 @@ def _advance(Phi, adj, h_col, Kdt, ks2dt, dt_dw, incr, work):
         np.multiply(s, c, out=t)
         t *= ks2dt
         g += t
-    Phi -= g
+    return g
+
+
+def _advance(Phi, adj, h_col, Kdt, ks2dt, dt_dw, incr, work):
+    """One Euler-Maruyama step, in place, on an (n, C) phase matrix.
+
+    The deterministic part is _coupling's; dt_dw is the precomputed dt *
+    detuning column(s); incr the pre-scaled noise increment, of shape
+    (n, B) with C a multiple of B: every B-column variant block gets the
+    same draws.
+    """
+    Phi -= _coupling(Phi, adj, h_col, Kdt, ks2dt, work)
     if dt_dw is not None:
         Phi += dt_dw
     if incr is not None:
         n, B = incr.shape
         blocks = Phi.reshape(n, -1, B)
         blocks += incr[:, None, :]
-    _wrap(Phi, lo, hi)
+    _wrap(Phi, *work[4:])
 
 
 def step(state, problem, params, detuning=None, rng=None):
@@ -410,28 +421,16 @@ def step(state, problem, params, detuning=None, rng=None):
     `rng` supplies the noise draws (one standard normal per oscillator);
     when omitted and noise_amp > 0, it is required.
     """
-    phi = state.phases
-    if phi.shape != (problem.n,):
-        raise DimensionError(f"state has {phi.shape[0]} phases, problem has n={problem.n}")
     dt = params.dt
-    Phi = phi.reshape(-1, 1).copy()
-    h_col = problem.h.reshape(-1, 1) if problem.has_fields else None
-    ks = float(params.ks_at(state.time))
+    Phi, dw = _columns(problem, state, detuning)
     incr = None
     if params.noise_amp > 0:
         if rng is None:
             raise SpecificationError("rng is required when noise_amp > 0")
-        incr = (params.noise_amp * math.sqrt(dt)) * rng.standard_normal(problem.n)
-        incr = incr.reshape(-1, 1)
-    dt_dw = None
-    if detuning is not None:
-        dw = np.asarray(detuning, dtype=np.float64)
-        if dw.shape != (problem.n,):
-            raise DimensionError("detuning length must equal n")
-        if np.any(dw != 0.0):
-            dt_dw = (dt * dw).reshape(-1, 1)
-    _advance(Phi, problem.adjacency, h_col, params.effective_K(problem) * dt,
-             2.0 * dt * ks if ks != 0.0 else None, dt_dw, incr,
+        incr = (params.noise_amp * math.sqrt(dt)) * rng.standard_normal((problem.n, 1))
+    dt_dw = dt * dw if dw is not None and np.any(dw != 0.0) else None
+    Phi = Phi.copy()
+    _advance(Phi, *_kernel_args(problem, params, state.time, dt), dt_dw, incr,
              _workspace(Phi.shape))
     return PhaseState(Phi[:, 0], state.time + dt)
 
@@ -524,32 +523,22 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
                       for b, seed in enumerate(seeds)
                       for rows, m in blocks]
 
-    # a zero field adds exactly nothing, so fieldless problems may share h_col
-    h_col = None
-    if any(p.has_fields for p in group):
-        h_col = np.concatenate([p.h for p in group]).reshape(-1, 1)
+    h_col = _field_col(group)
     adj = sp.block_diag([p.adjacency for p in group], format="csr")
     K_eff = [params.effective_K(p) for p in group]
     Kdt = np.repeat(np.multiply(K_eff, dt), sizes).reshape(-1, 1)
     work = _workspace(Phi.shape)
 
-    if trace_steps is not None:
-        traced = group[0]
-        trace_steps = np.asarray(trace_steps, dtype=np.int64)
-        tr_times = trace_steps * dt
-        tr_E = np.empty((len(trace_steps), B))
-        tr_H = np.empty((len(trace_steps), B))
-        tr_pos = 0
+    # energy trace: (time, E, rounded H) at each step in trace_steps
+    wanted = set() if trace_steps is None else set(np.asarray(trace_steps).tolist())
+    samples = []
 
-        def record(k):
-            nonlocal tr_pos
-            while tr_pos < len(trace_steps) and trace_steps[tr_pos] == k:
-                ks_now = float(params.ks_at(k * dt))
-                tr_E[tr_pos] = _lyapunov_cols(traced, Phi, K_eff[0], ks_now)
-                tr_H[tr_pos] = _hamiltonian_cols(traced, _round_cols(Phi))
-                tr_pos += 1
+    def record(k):
+        if k in wanted:
+            E = _lyapunov_cols(group[0], Phi, K_eff[0], float(params.ks_at(k * dt)))
+            samples.append((k * dt, E, [hamiltonian(group[0], s) for s in round_phases(Phi).T]))
 
-        record(0)
+    record(0)
 
     chunk = max(1, min(256, _MAX_NOISE_DOUBLES // max(1, n * B)))
     done = 0
@@ -570,7 +559,7 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
         for k in range(L):
             _advance(Phi, adj, h_col, Kdt, ks_cols[k] if ks_on[k] else None,
                      dt_dw, None if buf is None else buf[k], work)
-            if trace_steps is not None:
+            if wanted:
                 record(done + k + 1)
         done += L
         if not np.all(np.isfinite(Phi)):
@@ -581,14 +570,55 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
                 "non-finite phases", step=done, seed=seeds[col % B],
                 problem=p if group[p].name is None else group[p].name)
 
-    if trace_steps is not None:
-        return Phi, (tr_times, tr_E, tr_H)
-    return Phi, None
+    if trace_steps is None:
+        return Phi, None
+    return Phi, tuple(np.array(x) for x in zip(*samples))
 
 
 def _trace_indices(total_steps, max_points):
     count = min(int(max_points), total_steps + 1)
     return np.unique(np.round(np.linspace(0, total_steps, count)).astype(np.int64))
+
+
+def _runs(problem, params, seeds, total_weight, polish,
+          initial_phases=None, trace_steps=None):
+    """Integrate a batch and build one RunResult per (variant, problem, seed).
+
+    Rounds the final phases, applies polish, scores H and the cut, splits
+    the integration's wall time evenly over the runs and attaches the
+    energy trace, when there is one (a trace covers a single run).
+    """
+    group = _as_group(problem)
+    variants = _as_variants(params)
+    if isinstance(problem, IsingProblem):
+        total_weight = (total_weight,)
+    elif total_weight is None:
+        total_weight = (None,) * len(group)
+    B = len(seeds)
+    t0 = time.perf_counter()
+    Phi, trace = _integrate_batch(group, variants, seeds, initial_phases=initial_phases,
+                                  trace_steps=trace_steps)
+    spins_mat = round_phases(Phi)
+    wall = (time.perf_counter() - t0) / (len(variants) * len(group) * B)
+    energy_trace = None
+    if trace is not None:
+        times, E, Hs = trace
+        energy_trace = EnergyTrace(times, E[:, 0], Hs[:, 0])
+    out = []
+    for v in range(len(variants)):
+        row = 0
+        for p, tw in zip(group, total_weight, strict=True):
+            for b, seed in enumerate(seeds):
+                spins = spins_mat[row:row + p.n, v * B + b]
+                if polish:
+                    spins, _ = greedy_descent(p, spins)
+                H = hamiltonian(p, spins)
+                cut = cut_from_hamiltonian(H, tw) if tw is not None else None
+                out.append(RunResult(final_spins=spins, final_H=H, final_cut=cut,
+                                     seed=seed, wall_time=wall,
+                                     trajectory_energy=energy_trace))
+            row += p.n
+    return out
 
 
 def simulate(problem, params=None, seed=0, *, total_weight=None,
@@ -608,24 +638,9 @@ def simulate(problem, params=None, seed=0, *, total_weight=None,
     """
     if params is None:
         params = DynamicsParams()
-    t0 = time.perf_counter()
     trace_steps = _trace_indices(params.total_steps, trace_points) if trace_points else None
-    Phi, trace = _integrate_batch(problem, params, [seed],
-                                  initial_phases=initial_phases,
-                                  trace_steps=trace_steps)
-    spins = _round_cols(Phi)[:, 0]
-    if polish:
-        from .oracles import greedy_descent
-        spins, _ = greedy_descent(problem, spins)
-    wall = time.perf_counter() - t0
-    H = hamiltonian(problem, spins)
-    cut = cut_from_hamiltonian(H, total_weight) if total_weight is not None else None
-    energy_trace = None
-    if trace is not None:
-        times, E, Hs = trace
-        energy_trace = EnergyTrace(times, E[:, 0], Hs[:, 0])
-    return RunResult(final_spins=spins, final_H=H, final_cut=cut, seed=seed,
-                     wall_time=wall, trajectory_energy=energy_trace)
+    return _runs(problem, params, [seed], total_weight, polish,
+                 initial_phases=initial_phases, trace_steps=trace_steps)[0]
 
 
 def run_seeds(problem, params, seeds, *, total_weight=None, polish=False):
@@ -645,29 +660,4 @@ def run_seeds(problem, params, seeds, *, total_weight=None, polish=False):
     """
     if len(seeds) == 0:
         return []
-    group = _as_group(problem)
-    variants = _as_variants(params)
-    if isinstance(problem, IsingProblem):
-        total_weight = (total_weight,)
-    elif total_weight is None:
-        total_weight = (None,) * len(group)
-    B = len(seeds)
-    t0 = time.perf_counter()
-    Phi, _ = _integrate_batch(group, variants, list(seeds))
-    spins_mat = _round_cols(Phi)
-    wall = (time.perf_counter() - t0) / (len(variants) * len(group) * B)
-    out = []
-    for v in range(len(variants)):
-        row = 0
-        for p, tw in zip(group, total_weight, strict=True):
-            for b, seed in enumerate(seeds):
-                spins = spins_mat[row:row + p.n, v * B + b]
-                if polish:
-                    from .oracles import greedy_descent
-                    spins, _ = greedy_descent(p, spins)
-                H = hamiltonian(p, spins)
-                cut = cut_from_hamiltonian(H, tw) if tw is not None else None
-                out.append(RunResult(final_spins=spins, final_H=H, final_cut=cut,
-                                     seed=seed, wall_time=wall))
-            row += p.n
-    return out
+    return _runs(problem, params, list(seeds), total_weight, polish)

@@ -5,6 +5,10 @@ by m lines "u v w" with 1-based endpoints. Indices are converted to 0-based
 at this boundary and nowhere else. The canonical writer emits edges sorted
 by (u, v) with single spaces and LF endings, so parse -> write -> parse is
 exact and a second write is byte-identical.
+
+The readers check only tokens and JSON types: edge lists are validated by
+problems._canonical_edges alone, and a row it rejects is reported at its
+G-set line number or its JSON path $.edges[k].
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .problems import IsingProblem, WeightedGraph
+from .problems import IsingProblem, WeightedGraph, _RowError
 
 __all__ = [
     "parse_gset", "write_gset", "load_gset",
@@ -35,50 +39,46 @@ def _decode(text):
     return text
 
 
+def _int_rows(rows, count, path):
+    """(line number, tokens) rows as an int64 array of `count` columns, by
+    int()'s rules; a ParseError names the first line that is not that."""
+    try:
+        return np.array([t for _, t in rows], dtype=np.int64).reshape(len(rows), count)
+    except (ValueError, OverflowError):
+        for lineno, tokens in rows:
+            if len(tokens) != count:
+                raise ParseError(f"expected {count} integers, got {len(tokens)} tokens",
+                                 line=lineno, path=path) from None
+            try:
+                np.array(tokens, dtype=np.int64)
+            except (ValueError, OverflowError):
+                raise ParseError(f"non-integer or beyond-int64 token in {tokens!r}",
+                                 line=lineno, path=path) from None
+        raise
+
+
 def parse_gset(text, name=None):
     """Parse G-set/rudy text (str or bytes) into a WeightedGraph."""
     lines = _decode(text).splitlines()
-    numbered = [(k + 1, ln.split()) for k, ln in enumerate(lines) if ln.strip()]
-    if not numbered:
+    rows = [(k + 1, tokens) for k, ln in enumerate(lines) if (tokens := ln.split())]
+    if not rows:
         raise ParseError("empty input", line=1, path=name)
-
-    def ints(tokens, lineno, count):
-        if len(tokens) != count:
-            raise ParseError(f"expected {count} integers, got {len(tokens)} tokens",
-                             line=lineno, path=name)
-        try:
-            return [int(t) for t in tokens]
-        except ValueError:
-            raise ParseError(f"non-integer token in {tokens!r}",
-                             line=lineno, path=name) from None
-
-    header_line, header = numbered[0]
-    n, m = ints(header, header_line, 2)
+    (header_line, _), body = rows[0], rows[1:]
+    n, m = _int_rows(rows[:1], 2, name)[0].tolist()
     if n < 1:
         raise ParseError("vertex count must be positive", line=header_line, path=name)
     if m < 0:
         raise ParseError("edge count must be nonnegative", line=header_line, path=name)
-    body = numbered[1:]
     if len(body) != m:
         raise ParseError(f"header declares {m} edges but file has {len(body)} edge lines",
                          line=header_line, path=name)
-
-    edges = []
-    seen = set()
-    for lineno, tokens in body:
-        u, v, w = ints(tokens, lineno, 3)
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(f"vertex index out of range 1..{n}", line=lineno, path=name)
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}", line=lineno, path=name)
-        if w == 0:
-            raise ParseError("zero edge weight", line=lineno, path=name)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(f"duplicate edge {key[0]} {key[1]}", line=lineno, path=name)
-        seen.add(key)
-        edges.append((key[0] - 1, key[1] - 1, w))
-    return WeightedGraph(n, edges, name=name)
+    edges = _int_rows(body, 3, name)
+    edges[:, :2] -= 1
+    try:
+        return WeightedGraph(n, edges, name=name)
+    except _RowError as e:
+        reason = f"vertex index out of range 1..{n}" if e.kind == "range" else e.reason
+        raise ParseError(reason, line=body[e.row][0], path=name) from None
 
 
 def write_gset(graph):
@@ -118,20 +118,13 @@ def read_ising_json(text):
     edges_raw = obj.get("edges", [])
     if not isinstance(edges_raw, list):
         fail("$.edges", "edges must be a list")
-    edges = []
     for k, entry in enumerate(edges_raw):
         if (not isinstance(entry, list)) or len(entry) != 3:
             fail(f"$.edges[{k}]", "edge must be [i, j, J]")
         i, j, J = entry
-        if not isinstance(i, int) or not isinstance(j, int) or isinstance(J, (str, bool)):
+        # bool is a subclass of int, and JSON true/false are no indices
+        if type(i) is not int or type(j) is not int or type(J) not in (int, float):
             fail(f"$.edges[{k}]", "edge must be [int, int, number]")
-        if not isinstance(J, (int, float)):
-            fail(f"$.edges[{k}]", "coupling must be a number")
-        if i == j:
-            fail(f"$.edges[{k}]", f"self-coupling at index {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            fail(f"$.edges[{k}]", f"index out of range [0, {n})")
-        edges.append((i, j, J))
     h = obj.get("h")
     if h is not None:
         if not isinstance(h, list) or len(h) != n:
@@ -145,7 +138,9 @@ def read_ising_json(text):
     if unknown:
         fail(f"$.{sorted(unknown)[0]}", "unknown key")
     try:
-        return IsingProblem(n, edges, fields=h, name=name)
+        return IsingProblem(n, edges_raw, fields=h, name=name)
+    except _RowError as e:
+        fail(f"$.edges[{e.row}]", e.reason)
     except Exception as e:
         raise ParseError(str(e)) from None
 

@@ -6,6 +6,9 @@ The Ising energy minimized throughout this package is
 
 MAX-CUT instances map onto this form with J = -w and h = 0; the cut value
 is then recovered as (total_weight - H) / 2.
+
+Edge lists are validated by _canonical_edges alone and stored once, as
+sorted arrays: IsingProblem.couplings and WeightedGraph.edges are views.
 """
 
 from __future__ import annotations
@@ -29,98 +32,111 @@ __all__ = [
 ]
 
 
-def _canonical_edges(n, edges, *, what="coupling"):
+class _RowError(SpecificationError):
+    """An edge list entry that _canonical_edges rejects: `row` is its
+    position in the input, `kind` names the check it failed."""
+
+    def __init__(self, kind, reason, row):
+        super().__init__(f"{reason} (edge list row {row})")
+        self.kind, self.reason, self.row = kind, reason, row
+
+
+def _canonical_edges(n, edges, *, what="coupling", integer=False):
     """Validate and sort an (i, j, value) edge list; returns int/float arrays.
 
     Entries are normalized to i < j and sorted by (i, j). Self-loops,
     out-of-range indices, duplicate pairs, zero or non-finite values are
-    rejected.
+    rejected, and with integer=True also non-integer values and values of
+    magnitude 2**53 or more (which float64 cannot hold exactly). A
+    rejection is a _RowError naming the first row that fails the check;
+    for a duplicate pair, the first row whose pair already appeared.
     """
+    edges = edges if isinstance(edges, np.ndarray) else list(edges)
     if len(edges) == 0:
         return (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32),
                 np.empty(0, dtype=np.float64))
-    arr = np.asarray(edges, dtype=np.float64)
+    try:
+        arr = np.asarray(edges, dtype=np.float64)
+    except OverflowError:  # a Python int beyond float64
+        big = float(np.finfo(np.float64).max)
+        row = next(k for k, e in enumerate(edges) if max(map(abs, e)) > big)
+        raise _RowError("value", f"{what} entry beyond float64", row) from None
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise SpecificationError(f"{what} list must be (i, j, value) triples")
-    ii = arr[:, 0]
-    jj = arr[:, 1]
-    vv = arr[:, 2]
-    if not (np.all(ii == np.round(ii)) and np.all(jj == np.round(jj))):
-        raise SpecificationError(f"{what} indices must be integers")
-    ii = ii.astype(np.int64)
-    jj = jj.astype(np.int64)
+
+    def reject(kind, reason, mask):
+        if mask.any():
+            raise _RowError(kind, reason, int(np.argmax(mask)))
+
+    ii, jj, vv = arr.T
     lo = np.minimum(ii, jj)
     hi = np.maximum(ii, jj)
-    if np.any(lo == hi):
-        k = int(np.argmax(lo == hi))
-        raise SpecificationError(f"self-{what} at vertex {lo[k]}")
-    if lo.min() < 0 or hi.max() >= n:
-        raise SpecificationError(f"{what} index out of range [0, {n})")
-    if not np.all(np.isfinite(vv)):
-        raise SpecificationError(f"non-finite {what} value")
-    if np.any(vv == 0):
-        raise SpecificationError(f"zero {what} values are not stored; drop them")
-    key = lo * n + hi
+    reject("index", f"{what} indices must be integers",
+           (ii != np.round(ii)) | (jj != np.round(jj)))
+    reject("range", f"{what} index out of range [0, {n})", (lo < 0) | (hi >= n))
+    reject("self", f"self-{what}", lo == hi)
+    reject("value", f"non-finite {what} value", ~np.isfinite(vv))
+    reject("value", f"zero {what} values are not stored; drop them", vv == 0)
+    if integer:
+        reject("value", f"{what} weights must be integers", vv != np.round(vv))
+        reject("value", f"{what} weights must be below 2**53 in magnitude",
+               np.abs(vv) >= 2.0 ** 53)
+    key = lo.astype(np.int64) * n + hi.astype(np.int64)
     order = np.argsort(key, kind="stable")
-    key = key[order]
-    if np.any(np.diff(key) == 0):
-        k = int(np.argmax(np.diff(key) == 0))
-        raise SpecificationError(
-            f"duplicate {what} for pair ({key[k] // n}, {key[k] % n})")
+    dup = np.zeros(len(key), dtype=bool)
+    dup[order[1:]] = np.diff(key[order]) == 0
+    reject("duplicate", f"duplicate {what} pair", dup)
     return (lo[order].astype(np.int32), hi[order].astype(np.int32), vv[order])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class IsingProblem:
     """A sparse Ising problem: couplings J_ij (i < j) and local fields h_i.
 
-    Couplings are stored exactly as given, as a sorted edge list; a symmetric
-    CSR adjacency is built once at construction for the dynamics and solvers.
-    Instances are immutable and safe to share across workers.
+    Couplings are stored once, as a sorted edge list in three arrays; a
+    symmetric CSR adjacency is built once at construction for the dynamics
+    and solvers. Instances are immutable and safe to share across workers.
     """
 
     n: int
-    couplings: object = field(default=(), repr=False)
     fields: object = field(default=None, repr=False)
     name: str | None = None
+    _ei: np.ndarray = field(default=None, repr=False)
+    _ej: np.ndarray = field(default=None, repr=False)
+    _jv: np.ndarray = field(default=None, repr=False)
+    _h: np.ndarray = field(default=None, repr=False)
+    _adj: object = field(default=None, repr=False)
 
-    # filled in __post_init__
-    _ei: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _ej: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _jv: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _h: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _adj: object = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+    def __init__(self, n, couplings=(), fields=None, name=None):
+        if not isinstance(n, (int, np.integer)) or n < 1:
             raise SpecificationError("n must be a positive integer")
-        ei, ej, jv = _canonical_edges(self.n, list(self.couplings))
-        if self.fields is None:
-            h = np.zeros(self.n)
+        ei, ej, jv = _canonical_edges(n, couplings)
+        if fields is None:
+            h = np.zeros(n)
         else:
-            h = np.asarray(self.fields, dtype=np.float64).copy()
-            if h.shape != (self.n,):
-                raise DimensionError(f"fields must have length {self.n}")
+            h = np.asarray(fields, dtype=np.float64).copy()
+            if h.shape != (n,):
+                raise DimensionError(f"fields must have length {n}")
             if not np.all(np.isfinite(h)):
                 raise SpecificationError("non-finite field value")
         adj = sp.csr_matrix(
             (np.concatenate([jv, jv]),
              (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
-            shape=(self.n, self.n),
+            shape=(n, n),
         )
         adj.sort_indices()
         for a in (ei, ej, jv, h):
             a.setflags(write=False)
-        object.__setattr__(self, "_ei", ei)
-        object.__setattr__(self, "_ej", ej)
-        object.__setattr__(self, "_jv", jv)
-        object.__setattr__(self, "_h", h)
-        object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "couplings",
-                           tuple((int(i), int(j), float(v))
-                                 for i, j, v in zip(ei, ej, jv)))
+        for attr, value in (("n", n), ("fields", fields), ("name", name), ("_ei", ei),
+                            ("_ej", ej), ("_jv", jv), ("_h", h), ("_adj", adj)):
+            object.__setattr__(self, attr, value)
 
     # --- views -----------------------------------------------------------
+    @property
+    def couplings(self):
+        """((i, j, J), ...) sorted by (i, j), built from edge_arrays."""
+        return tuple(zip(self._ei.tolist(), self._ej.tolist(), self._jv.tolist()))
+
     @property
     def edge_arrays(self):
         """(i, j, J) as three read-only arrays, sorted by (i, j)."""
@@ -165,32 +181,31 @@ class IsingProblem:
                 and np.array_equal(self._h, other._h))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class WeightedGraph:
-    """Undirected weighted graph with integer, nonzero edge weights."""
+    """Undirected weighted graph with integer, nonzero edge weights of
+    magnitude below 2**53 (exact in float64)."""
 
     n_vertices: int
-    edges: object = field(default=(), repr=False)
     name: str | None = None
+    _eu: np.ndarray = field(default=None, repr=False)
+    _ev: np.ndarray = field(default=None, repr=False)
+    _ew: np.ndarray = field(default=None, repr=False)
 
-    _eu: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _ev: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-    _ew: np.ndarray = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        if not isinstance(self.n_vertices, (int, np.integer)) or self.n_vertices < 1:
+    def __init__(self, n_vertices, edges=(), name=None):
+        if not isinstance(n_vertices, (int, np.integer)) or n_vertices < 1:
             raise SpecificationError("n_vertices must be a positive integer")
-        eu, ev, ew = _canonical_edges(self.n_vertices, list(self.edges), what="edge")
-        if not np.all(ew == np.round(ew)):
-            raise SpecificationError("edge weights must be integers")
+        eu, ev, ew = _canonical_edges(n_vertices, edges, what="edge", integer=True)
         ew = ew.astype(np.int64)
         ew.setflags(write=False)
-        object.__setattr__(self, "_eu", eu)
-        object.__setattr__(self, "_ev", ev)
-        object.__setattr__(self, "_ew", ew)
-        object.__setattr__(self, "edges",
-                           tuple((int(u), int(v), int(w))
-                                 for u, v, w in zip(eu, ev, ew)))
+        for attr, value in (("n_vertices", n_vertices), ("name", name),
+                            ("_eu", eu), ("_ev", ev), ("_ew", ew)):
+            object.__setattr__(self, attr, value)
+
+    @property
+    def edges(self):
+        """((u, v, w), ...) sorted by (u, v), built from edge_arrays."""
+        return tuple(zip(self._eu.tolist(), self._ev.tolist(), self._ew.tolist()))
 
     @property
     def edge_arrays(self):

@@ -319,7 +319,7 @@ class TestPackedGroups:
         monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", 113)
         small, _ = dyn._integrate_batch(p, prm, seeds)
         assert np.array_equal(ref, small)
-        assert np.array_equal(dyn._round_cols(ref), dyn._round_cols(small))
+        assert np.array_equal(dyn.round_phases(ref), dyn.round_phases(small))
 
     def test_group_returns_problem_major_results(self):
         group = [random_problem(4, 1), random_problem(7, 2, with_fields=True)]
