@@ -4,8 +4,8 @@ A planner splits a spec into work units: a group of consecutive problems
 of at most 256 spins in total (a larger problem alone), with a chunk of up
 to 10 seeds. A group is integrated as one block-diagonal system, and the
 units are fanned out over a process pool of at most one worker per unit.
-Variants of a spec that differ only in mode and variability_pct (an
-ablation) share the plan: each unit integrates every variant as column
+Specs that differ only in params, their DynamicsParams (an ablation's
+variants), share the plan: each unit integrates every variant as column
 blocks of one phase matrix, drawing each seed's initial phases and noise
 once. Units and seeding depend only on the spec, and every (problem,
 seed) run is bit-identical whether it executes singly, batched, packed,
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__ as _version
-from .dynamics import DynamicsParams, run_seeds
+from .dynamics import DynamicsParams, _as_variants, run_seeds
 from .errors import SpecificationError
 from .io import BestKnownCatalog
 from .oracles import brute_force
@@ -46,12 +46,10 @@ _PACK_SPINS = 256  # consecutive problems share one block-diagonal integration
                    # up to this many spins; small enough that a sweep of
                    # small problems still spreads over several workers
 
-MODES = ("standard", "no_sync", "variability")
-
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """What to run: problems, dynamics parameters, seeds, mode, reference.
+    """What to run: problems, dynamics parameters, seeds, reference.
 
     problems entries are (name, IsingProblem) or (name, IsingProblem,
     total_weight); a total_weight enables cut reporting. oracle is None,
@@ -63,17 +61,11 @@ class BenchmarkSpec:
     params: DynamicsParams = field(default_factory=DynamicsParams)
     runs: int = 100
     seed_base: int = 0
-    mode: str = "standard"
-    variability_pct: float = 0.0
     oracle: object = None
 
     def __post_init__(self):
         if self.runs < 1:
             raise SpecificationError("runs must be >= 1")
-        if self.mode not in MODES:
-            raise SpecificationError(f"mode must be one of {MODES}")
-        if self.mode == "variability" and self.variability_pct <= 0:
-            raise SpecificationError("variability mode needs variability_pct > 0")
         norm = []
         for entry in self.problems:
             if len(entry) == 2:
@@ -85,16 +77,6 @@ class BenchmarkSpec:
                 raise SpecificationError(f"problem {name!r} is not an IsingProblem")
             norm.append((str(name), problem, tw))
         object.__setattr__(self, "problems", tuple(norm))
-
-    @property
-    def effective_params(self):
-        """Params with the mode applied (no_sync forces sync off, etc.)."""
-        p = self.params
-        if self.mode == "no_sync":
-            p = p.without_sync()
-        elif self.mode == "variability":
-            p = replace(p, variability_pct=self.variability_pct)
-        return p
 
     def seeds(self):
         return [self.seed_base + k for k in range(self.runs)]
@@ -109,22 +91,33 @@ class RunRecord:
     secs: float
 
 
+def _over_records(fn, attr):
+    """Read-only fn of one RunRecord attribute; None when a record lacks it."""
+    def get(self):
+        values = [getattr(r, attr) for r in self.records]
+        return None if None in values else fn(values)
+    return property(get)
+
+
 @dataclass(frozen=True)
 class ProblemStats:
+    """One problem's runs; every aggregate is computed from its records."""
+
     name: str
-    runs: int
-    best_H: float
-    mean_H: float
-    median_H: float
-    worst_H: float
-    best_cut: float | None
-    mean_cut: float | None
-    median_cut: float | None
-    worst_cut: float | None
     success: int | None
-    secs_per_run: float
     best_spins: np.ndarray
     records: tuple
+
+    runs = property(lambda self: len(self.records))
+    best_H = _over_records(min, "H")
+    mean_H = _over_records(statistics.fmean, "H")
+    median_H = _over_records(statistics.median, "H")
+    worst_H = _over_records(max, "H")
+    best_cut = _over_records(max, "cut")
+    mean_cut = _over_records(statistics.fmean, "cut")
+    median_cut = _over_records(statistics.median, "cut")
+    worst_cut = _over_records(min, "cut")
+    secs_per_run = _over_records(statistics.fmean, "secs")
 
 
 @dataclass(frozen=True)
@@ -139,7 +132,6 @@ class RunSummary:
     problems: tuple
     runs: int
     seed_base: int
-    mode: str
     params_config: dict
     total_secs: float
     wall_secs: float
@@ -191,52 +183,37 @@ def _success_count(spec, name, problem, records):
     raise SpecificationError(f"unknown oracle {oracle!r}")
 
 
-def _aggregate(spec, name, problem, total_weight, results):
+def _aggregate(spec, name, problem, results):
     records = tuple(RunRecord(name, r.seed, r.final_H, r.final_cut, r.wall_time)
                     for r in results)
-    hs = [r.H for r in records]
-    best_idx = int(np.argmin(hs))
-    cuts = [r.cut for r in records]
-    have_cut = total_weight is not None
+    best_idx = int(np.argmin([r.H for r in records]))
     return ProblemStats(
         name=name,
-        runs=len(records),
-        best_H=min(hs),
-        mean_H=statistics.fmean(hs),
-        median_H=statistics.median(hs),
-        worst_H=max(hs),
-        best_cut=max(cuts) if have_cut else None,
-        mean_cut=statistics.fmean(cuts) if have_cut else None,
-        median_cut=statistics.median(cuts) if have_cut else None,
-        worst_cut=min(cuts) if have_cut else None,
         success=_success_count(spec, name, problem, records),
-        secs_per_run=statistics.fmean(r.secs for r in records),
         best_spins=results[best_idx].final_spins,
         records=records,
     )
 
 
 def _as_specs(spec):
-    """One spec, or variants that differ only in mode and variability_pct."""
+    """(specs, their params): one spec, or specs that differ only in params,
+    within what dynamics._as_variants lets batched variants differ in."""
     specs = (spec,) if isinstance(spec, BenchmarkSpec) else tuple(spec)
-    if not specs:
-        raise SpecificationError("run_benchmark needs at least one spec")
-    shared = [(s.problems, s.params, s.runs, s.seed_base, s.oracle) for s in specs]
+    shared = [(s.problems, s.runs, s.seed_base, s.oracle) for s in specs]
     if any(key != shared[0] for key in shared[1:]):
-        raise SpecificationError(
-            "specs run together may differ only in mode and variability_pct")
-    return specs
+        raise SpecificationError("specs run together may differ only in params")
+    return specs, _as_variants([s.params for s in specs])
 
 
 def run_benchmark(spec, parallelism=1):
     """Execute a BenchmarkSpec; results do not depend on parallelism.
 
-    `spec` may also be a sequence of specs that differ only in mode and
-    variability_pct; they run as one plan, each unit integrating every
+    `spec` may also be a sequence of specs that differ only in params
+    (ablation variants); they run as one plan, each unit integrating every
     variant, and one RunSummary per spec is returned, in order. Each
     result equals that of running its spec alone.
     """
-    specs = _as_specs(spec)
+    specs, variants = _as_specs(spec)
     if parallelism < 1:
         raise SpecificationError("parallelism must be >= 1")
     cpus = os.cpu_count()
@@ -245,7 +222,6 @@ def run_benchmark(spec, parallelism=1):
                       RuntimeWarning, stacklevel=2)
     t0 = time.perf_counter()
     base = specs[0]
-    variants = tuple(s.effective_params for s in specs)
     units = _plan(base)
     tasks = [(tuple(base.problems[k][1] for k in group), variants, chunk,
               tuple(base.problems[k][2] for k in group))
@@ -267,12 +243,12 @@ def run_benchmark(spec, parallelism=1):
             for j, k in enumerate(group):
                 start = (v * len(group) + j) * B
                 results[v][k].extend(out[start:start + B])
-    stats = [[_aggregate(s, name, problem, tw, res)
-              for (name, problem, tw), res in zip(s.problems, results[v])]
+    stats = [[_aggregate(s, name, problem, res)
+              for (name, problem, _), res in zip(s.problems, results[v])]
              for v, s in enumerate(specs)]
     wall = time.perf_counter() - t0
     summaries = [RunSummary(problems=tuple(st), runs=s.runs,
-                            seed_base=s.seed_base, mode=s.mode,
+                            seed_base=s.seed_base,
                             params_config=prm.to_config(),
                             total_secs=sum(r.secs for p in st for r in p.records),
                             wall_secs=wall)
@@ -321,19 +297,20 @@ def ablation_compare(problem, params, runs, seed_base, *, total_weight=None,
                      variability_pcts=(0.01, 0.05), parallelism=1, name="problem"):
     """Run SYNC vs no-SYNC and nominal vs frequency-variability variants.
 
-    Every variant uses the same seed list, so differences are paired. All
-    variants go to one run_benchmark call and share its work units, each
-    seed's initial phases and noise; results equal separate runs.
+    Every variant uses the same seed list, so differences are paired. The
+    variants are specs that differ only in params; they go to one
+    run_benchmark call and share its work units, each seed's initial
+    phases and noise. Results equal separate runs.
     """
-    configs = [("standard", "standard", 0.0), ("no_sync", "no_sync", 0.0)]
-    configs += [(f"variability_{pct:g}", "variability", pct) for pct in variability_pcts]
-    specs = [BenchmarkSpec(problems=((name, problem, total_weight),),
-                           params=params, runs=runs, seed_base=seed_base,
-                           mode=mode, variability_pct=pct)
-             for _, mode, pct in configs]
+    variants = {"standard": params, "no_sync": params.without_sync()}
+    variants.update((f"variability_{pct:g}", replace(params, variability_pct=pct))
+                    for pct in variability_pcts)
+    specs = [BenchmarkSpec(problems=((name, problem, total_weight),), params=prm,
+                           runs=runs, seed_base=seed_base)
+             for prm in variants.values()]
     summaries = run_benchmark(specs, parallelism=parallelism)
     return AblationResult({label: summary.stats(name)
-                           for (label, _, _), summary in zip(configs, summaries)})
+                           for label, summary in zip(variants, summaries)})
 
 
 # --- export --------------------------------------------------------------------
@@ -350,16 +327,6 @@ def _fmt(x):
     return repr(x) if isinstance(x, float) else str(x)
 
 
-def _check_consistency(stats):
-    hs = [r.H for r in stats.records]
-    if len(hs) != stats.runs:
-        raise SpecificationError("record count disagrees with runs")
-    recomputed = (min(hs), statistics.fmean(hs), statistics.median(hs), max(hs))
-    stored = (stats.best_H, stats.mean_H, stats.median_H, stats.worst_H)
-    if recomputed != stored:
-        raise SpecificationError("aggregates disagree with per-run records")
-
-
 def summary_metadata(summary):
     return {
         "oimsim_version": _version,
@@ -367,14 +334,12 @@ def summary_metadata(summary):
         "runs": summary.runs,
         "seed_base": summary.seed_base,
         "seeds": [summary.seed_base + k for k in range(summary.runs)],
-        "mode": summary.mode,
     }
 
 
 def _summary_csv(summary):
     lines = [SUMMARY_CSV_HEADER]
     for s in summary.problems:
-        _check_consistency(s)
         lines.append(",".join(_fmt(v) for v in (
             s.name, s.runs, s.best_H, s.mean_H, s.median_H, s.worst_H,
             s.best_cut, s.success, s.secs_per_run)))
@@ -382,8 +347,6 @@ def _summary_csv(summary):
 
 
 def _summary_json(summary, extra_meta=None):
-    for s in summary.problems:
-        _check_consistency(s)
     meta = summary_metadata(summary)
     if extra_meta:
         meta.update(extra_meta)

@@ -99,7 +99,6 @@ class IsingProblem:
     """
 
     n: int
-    fields: object = field(default=None, repr=False)
     name: str | None = None
     _ei: np.ndarray = field(default=None, repr=False)
     _ej: np.ndarray = field(default=None, repr=False)
@@ -127,7 +126,7 @@ class IsingProblem:
         adj.sort_indices()
         for a in (ei, ej, jv, h):
             a.setflags(write=False)
-        for attr, value in (("n", n), ("fields", fields), ("name", name), ("_ei", ei),
+        for attr, value in (("n", n), ("name", name), ("_ei", ei),
                             ("_ej", ej), ("_jv", jv), ("_h", h), ("_adj", adj)):
             object.__setattr__(self, attr, value)
 
@@ -256,7 +255,7 @@ def hamiltonian(problem, spins):
     s = as_spins(spins, problem.n)
     ei, ej, jv = problem.edge_arrays
     sf = s.astype(np.float64)
-    pair = float(jv @ (sf[ei] * sf[ej])) if len(jv) else 0.0
+    pair = float(np.sum(jv * (sf[ei] * sf[ej])))
     return -pair - float(problem.h @ sf)
 
 

@@ -1,5 +1,6 @@
 """Tests for the benchmark harness, histograms, and exports."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -71,16 +72,6 @@ class TestRunBenchmark:
         p = IsingProblem(2, [(0, 1, 1.0)])
         with pytest.raises(SpecificationError):
             BenchmarkSpec(problems=(("x", p),), runs=0)
-        with pytest.raises(SpecificationError):
-            BenchmarkSpec(problems=(("x", p),), mode="nope")
-        with pytest.raises(SpecificationError):
-            BenchmarkSpec(problems=(("x", p),), mode="variability")
-
-    def test_no_sync_mode_forces_flag(self):
-        p = IsingProblem(2, [(0, 1, 1.0)])
-        spec = BenchmarkSpec(problems=(("x", p),), mode="no_sync",
-                             params=quick_params())
-        assert spec.effective_params.sync_enabled is False
 
 
 class TestPlanner:
@@ -178,7 +169,6 @@ class TestAblationCompare:
         prm = quick_params(10.0)
         std = ablation_compare(p, prm, runs=3, seed_base=5,
                                variability_pcts=())["standard"]
-        import dataclasses
         spec = BenchmarkSpec(problems=(("problem", p),),
                              params=dataclasses.replace(prm, variability_pct=0.0),
                              runs=3, seed_base=5)
@@ -259,10 +249,10 @@ def variant_specs(problems, runs=12, **kw):
     prm = DynamicsParams(cycles=3.0, steps_per_cycle=50,
                          ks_schedule=KsSchedule.ramp(0.0, 1.5, 1.0),
                          normalize_by_degree=True)
-    common = dict(problems=problems, params=prm, runs=runs, seed_base=2, **kw)
-    return [BenchmarkSpec(**common),
-            BenchmarkSpec(mode="no_sync", **common),
-            BenchmarkSpec(mode="variability", variability_pct=0.03, **common)]
+    common = dict(problems=problems, runs=runs, seed_base=2, **kw)
+    return [BenchmarkSpec(params=variant, **common)
+            for variant in (prm, prm.without_sync(),
+                            dataclasses.replace(prm, variability_pct=0.03))]
 
 
 def rows(summary):
@@ -281,7 +271,8 @@ class TestSpecVariants:
     def test_equal_separate_runs(self, parallelism):
         specs = variant_specs(self.problems())
         together = run_benchmark(specs, parallelism=parallelism)
-        assert [s.mode for s in together] == ["standard", "no_sync", "variability"]
+        assert [(s.params_config["sync_enabled"], s.params_config["variability_pct"])
+                for s in together] == [(True, 0.0), (False, 0.0), (True, 0.03)]
         for spec, summary in zip(specs, together, strict=True):
             alone = run_benchmark(spec)
             assert rows(summary) == rows(alone)

@@ -72,6 +72,17 @@ class TestSolve:
         assert lines[0] == "time,lyapunov,rounded_H"
         assert 2 <= len(lines) <= 10_001
 
+    def test_variant_is_recorded_once_in_params(self, ferro_json, tmp_path):
+        out = tmp_path / "r.json"
+        code = run(["solve", "--input", ferro_json, "--runs", "2", "--cycles", "10",
+                    "--no-sync", "--variability", "0.05", "--threads", "1",
+                    "--out", out])
+        assert code == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert "mode" not in meta
+        assert meta["params"]["sync_enabled"] is False
+        assert meta["params"]["variability_pct"] == 0.05
+
     def test_ks_ramp_flag(self, ferro_json, tmp_path):
         out = tmp_path / "r.json"
         code = run(["solve", "--input", ferro_json, "--runs", "1",

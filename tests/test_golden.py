@@ -55,8 +55,9 @@ def mixed_spec(mode):
     problems += [random_ising(10, Complete(), seed=k) for k in range(8, 11)]
     entries = tuple((f"p{k}", p) for k, p in enumerate(problems))
     params = replace(PARAMS, normalize_by_degree=True)
-    return BenchmarkSpec(problems=entries, params=params, runs=12, seed_base=5,
-                         mode=mode, variability_pct=0.05 if mode == "variability" else 0.0)
+    params = {"standard": params, "no_sync": params.without_sync(),
+              "variability": replace(params, variability_pct=0.05)}[mode]
+    return BenchmarkSpec(problems=entries, params=params, runs=12, seed_base=5)
 
 
 def test_simulate_golden():
@@ -80,7 +81,7 @@ def test_packed_run_seeds_golden():
     spec = mixed_spec("variability")
     group = [problem for _, problem, _ in spec.problems]
     rows = [(r.seed, r.final_spins, r.final_H)
-            for r in run_seeds(group, spec.effective_params, spec.seeds())]
+            for r in run_seeds(group, spec.params, spec.seeds())]
     assert digest(rows) == GOLDEN["mixed_run_seeds"]
 
 

@@ -1,10 +1,15 @@
 """Tests for problem types, energies, and the MAX-CUT mapping."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oimsim
 from oimsim import (DimensionError, IsingProblem, SpecificationError,
                     WeightedGraph, cut_from_hamiltonian, cut_value,
                     hamiltonian, maxcut_to_ising, random_spins)
@@ -113,6 +118,29 @@ class TestHamiltonian:
         for _ in range(50):
             s = random_spins(6, rng)
             assert abs(hamiltonian(p, s)) <= bound + 1e-12
+
+    def test_same_bits_for_any_blas_thread_count(self):
+        # er800_batch's shape with non-integer couplings: a BLAS dot product
+        # of 19,176 terms rounds differently when split over threads
+        script = "\n".join([
+            "import numpy as np",
+            "from oimsim import IsingProblem, hamiltonian",
+            "rng = np.random.default_rng(0)",
+            "iu, ju = np.triu_indices(800, 1)",
+            "pick = np.sort(rng.choice(len(iu), 19176, replace=False))",
+            "J = rng.uniform(-1.0, 1.0, len(pick))",
+            "p = IsingProblem(800, np.column_stack([iu[pick], ju[pick], J]))",
+            "print(float.hex(hamiltonian(p, rng.choice([-1, 1], 800))))",
+        ])
+        src = str(Path(oimsim.__file__).resolve().parent.parent)
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestWeightedGraph:

@@ -33,6 +33,7 @@ class TestEdgeViews:
         p = IsingProblem(3, [(2, 1, 0.5), (0, 1, -1.0)], fields=[0.0, 1.0, 0.0])
         assert "edges" not in vars(g)
         assert "couplings" not in vars(p)
+        assert "fields" not in vars(p)
         assert g.edges == ((0, 1, -1), (1, 2, 4))
         assert p.couplings == ((0, 1, -1.0), (1, 2, 0.5))
         assert all(type(x) is int for e in g.edges for x in e)
