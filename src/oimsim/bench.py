@@ -64,8 +64,10 @@ class BenchmarkSpec:
     oracle: object = None
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise SpecificationError("runs must be >= 1")
+        if not isinstance(self.params, DynamicsParams):
+            raise SpecificationError("params must be a DynamicsParams")
+        if not isinstance(self.runs, (int, np.integer)) or self.runs < 1:
+            raise SpecificationError("runs must be an integer >= 1")
         norm = []
         for entry in self.problems:
             if len(entry) == 2:

@@ -26,7 +26,14 @@ where wrap is exactly np.mod(., 2*pi), bit for bit. One coupling kernel,
 _coupling, computes K*dt times the coupling and field terms plus the SYNC
 term for drift(), step() and the batch integrator alike, so their
 arithmetic is identical; the sin(2 phi) term is computed as
-2 sin(phi) cos(phi) everywhere. Randomness is split
+2 sin(phi) cos(phi) everywhere. The batch integrator runs each noise
+block through one call of _step.c, which does _advance's float operations
+in its order. It is compiled once per machine (cc -O3 -ffp-contract=off)
+into $XDG_CACHE_HOME/oimsim or ~/.cache/oimsim (delete it to rebuild) and
+loaded with ctypes only if a self-check finds numpy's bits on a probe.
+Else the numpy loop integrates: silently without a compiler or writable
+cache, with a RuntimeWarning after a failed self-check. drift(),
+lyapunov() and step() always use numpy. Randomness is split
 into independent substreams of the run seed,
 Generator(PCG64(SeedSequence((seed, stream)))), with stream 0 = initial
 phases, 1 = detuning, 2 = integration noise. Runs are bit-reproducible for
@@ -35,12 +42,19 @@ a fixed (problem, params, seed) on a given platform.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import json
 import math
+import os
+import subprocess
+import tempfile
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -415,6 +429,62 @@ def _advance(Phi, adj, h_col, Kdt, ks2dt, dt_dw, incr, work):
     _wrap(Phi, *work[4:])
 
 
+def _steps(Phi, adj, h_col, Kdt, ks_cols, ks_on, dt_dw, noise, work):
+    """_advance for each step k of a noise block: the numpy reference path."""
+    for k in range(len(ks_on)):
+        _advance(Phi, adj, h_col, Kdt, ks_cols[k] if ks_on[k] else None, dt_dw,
+                 None if noise is None else noise[k], work)
+
+
+@lru_cache(maxsize=1)
+def _load_kernel():
+    """_steps compiled from _step.c, or None (see the module docstring); the
+    self-check turns every term on and puts phases beyond [-2*pi, 4*pi)."""
+    src = resources.files("oimsim").joinpath("_step.c").read_bytes()
+    flags = ["-O3", "-ffp-contract=off", "-fPIC", "-shared"]
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "oimsim"
+    lib = cache / f"_step-{hashlib.sha256(src + ' '.join(flags).encode()).hexdigest()[:16]}.so"
+    try:
+        if not lib.exists():  # build aside, then rename: builders cannot race
+            cache.mkdir(parents=True, exist_ok=True)
+            with tempfile.TemporaryDirectory(dir=cache) as tmp:
+                subprocess.run(["cc", *flags, "-x", "c", "-", "-o", f"{tmp}/k.so", "-lm"],
+                               input=src, capture_output=True, check=True, timeout=300)
+                os.replace(f"{tmp}/k.so", lib)
+        fn = ctypes.CDLL(str(lib)).oim_steps
+    except (OSError, subprocess.SubprocessError):  # also: no cc on PATH
+        return None
+    fn.argtypes, fn.restype = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 14, None
+
+    def kernel(Phi, adj, h_col, Kdt, ks_cols, ks_on, dt_dw, noise, work):
+        (n, C), L = Phi.shape, len(ks_on)
+        B = C if noise is None else noise.shape[2]
+        if Phi.dtype != np.float64 or not Phi.flags.c_contiguous or C % B:
+            raise ValueError("the step kernel needs a C-ordered float64 matrix")
+        cast = lambda a, shape, dtype=np.float64: None if a is None else (  # noqa: E731
+            np.ascontiguousarray(np.broadcast_to(a, shape), dtype=dtype))
+        arrays = [cast(adj.indptr, n + 1, np.int64), cast(adj.indices, adj.nnz, np.int64),
+                  cast(adj.data, adj.nnz), cast(h_col, (n, 1)), cast(Kdt, (n, 1)),
+                  cast(ks_cols, (L, C)), cast(ks_on, L, np.uint8), cast(dt_dw, (n, C)),
+                  cast(noise, (L, n, B))] + [cast(w, (n, C)) for w in work[:4]]
+        fn(n, C, B, L, Phi.ctypes.data, *(a if a is None else a.ctypes.data for a in arrays))
+
+    rng = np.random.default_rng(0)
+    args = (sp.csr_matrix(rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.4)),
+            rng.normal(size=(9, 1)), rng.uniform(0.0, 0.1, (9, 1)),
+            rng.uniform(0.0, 0.1, (4, 6)) * (np.arange(6) > 0), np.arange(4) != 1,
+            rng.normal(0.0, 0.1, (9, 6)), rng.normal(0.0, 10.0, (4, 9, 2)))
+    ref = rng.uniform(-50.0, 50.0, (9, 6))
+    out = ref.copy()
+    _steps(ref, *args, _workspace(ref.shape))
+    kernel(out, *args, _workspace(out.shape))
+    if ref.tobytes() != out.tobytes():
+        warnings.warn("the compiled step kernel gives other bits than numpy here; "
+                      "integrating with numpy", RuntimeWarning)
+        return None
+    return kernel
+
+
 def step(state, problem, params, detuning=None, rng=None):
     """Advance one Euler-Maruyama step of size dt = 1/steps_per_cycle.
 
@@ -528,6 +598,7 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
     K_eff = [params.effective_K(p) for p in group]
     Kdt = np.repeat(np.multiply(K_eff, dt), sizes).reshape(-1, 1)
     work = _workspace(Phi.shape)
+    steps = _load_kernel() or _steps
 
     # energy trace: (time, E, rounded H) at each step in trace_steps
     wanted = set() if trace_steps is None else set(np.asarray(trace_steps).tolist())
@@ -556,11 +627,13 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
                                      for v in variants])
         ks_on = ks2dt.any(axis=0)
         ks_cols = np.repeat(ks2dt.T, B, axis=1)
-        for k in range(L):
-            _advance(Phi, adj, h_col, Kdt, ks_cols[k] if ks_on[k] else None,
-                     dt_dw, None if buf is None else buf[k], work)
-            if wanted:
-                record(done + k + 1)
+        # one call per block, split at the trace's sample steps
+        a = 0
+        for b in sorted({k - done for k in wanted if done < k < done + L}) + [L]:
+            steps(Phi, adj, h_col, Kdt, ks_cols[a:b], ks_on[a:b], dt_dw,
+                  None if buf is None else buf[a:b], work)
+            record(done + b)
+            a = b
         done += L
         if not np.all(np.isfinite(Phi)):
             finite = np.isfinite(Phi)

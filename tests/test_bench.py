@@ -73,6 +73,12 @@ class TestRunBenchmark:
         with pytest.raises(SpecificationError):
             BenchmarkSpec(problems=(("x", p),), runs=0)
 
+    @pytest.mark.parametrize("bad", [{"params": None}, {"runs": 2.5}, {"runs": "3"}])
+    def test_spec_types_rejected(self, bad):
+        p = IsingProblem(2, [(0, 1, 1.0)])
+        with pytest.raises(SpecificationError):
+            BenchmarkSpec(problems=(("x", p),), **{"runs": 1, **bad})
+
 
 class TestPlanner:
     def test_packs_consecutive_small_problems(self):

@@ -4,6 +4,10 @@ Each case hashes every run's (seed, final spins, final H) in order. Running
 singly, batched, packed with other problems, or across a process pool must
 not change a single bit. A change that alters the numerics on purpose
 updates these hashes and says so in CHANGES.md.
+
+The module-level tests run the default integrator: the compiled step
+kernel wherever it loads. TestNumpyPath runs each of them again on the
+numpy reference loop.
 """
 
 import hashlib
@@ -12,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oimsim.dynamics as dyn
 from oimsim import (BenchmarkSpec, Complete, DynamicsParams, IsingProblem,
                     KsSchedule, Torus, ablation_compare, random_ising,
                     run_benchmark, run_seeds, simulate)
@@ -107,3 +112,16 @@ def test_ablation_golden(parallelism):
     rows = [(r.seed, stats.best_spins if r.H == stats.best_H else (), r.H)
             for stats in result.variants.values() for r in stats.records]
     assert digest(rows) == GOLDEN["ablation"]
+
+
+class TestNumpyPath:
+    @pytest.fixture(autouse=True)
+    def numpy_integrator(self, monkeypatch):
+        # pool workers are forked from this process, so they see it too
+        monkeypatch.setattr(dyn, "_load_kernel", lambda: None)
+
+    test_simulate_golden = staticmethod(test_simulate_golden)
+    test_run_seeds_golden = staticmethod(test_run_seeds_golden)
+    test_packed_run_seeds_golden = staticmethod(test_packed_run_seeds_golden)
+    test_run_benchmark_golden = staticmethod(test_run_benchmark_golden)
+    test_ablation_golden = staticmethod(test_ablation_golden)
