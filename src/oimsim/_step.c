@@ -8,7 +8,7 @@
 
 /* phi (n, C); CSR (indptr, indices, data); h (n) or NULL; kdt (n); ks (L, C)
  * used at step k if ks_on[k]; dt_dw (n, C) or NULL; noise (L, n, B) or NULL,
- * shared by the C / B column blocks; scratch c, s (n, C), ac, as (C). */
+ * shared by the C / B column blocks; work arrays c, s (n, C), ac, as (C). */
 void oim_steps(int64_t n, int64_t C, int64_t B, int64_t L, double *restrict phi,
                const int64_t *indptr, const int64_t *indices, const double *data,
                const double *h, const double *kdt, const double *ks, const uint8_t *ks_on,

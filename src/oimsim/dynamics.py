@@ -445,7 +445,7 @@ def _load_kernel():
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "oimsim"
     lib = cache / f"_step-{hashlib.sha256(src + ' '.join(flags).encode()).hexdigest()[:16]}.so"
     try:
-        if not lib.exists():  # build aside, then rename: builders cannot race
+        if not lib.exists():  # build aside, then rename: concurrent builds cannot race
             cache.mkdir(parents=True, exist_ok=True)
             with tempfile.TemporaryDirectory(dir=cache) as tmp:
                 subprocess.run(["cc", *flags, "-x", "c", "-", "-o", f"{tmp}/k.so", "-lm"],
