@@ -6,45 +6,58 @@
 
 #define TWO_PI (2.0 * 3.141592653589793)
 
-/* phi (n, C); CSR (indptr, indices, data); h (n) or NULL; kdt (n); ks (L, C)
- * used at step k if ks_on[k]; dt_dw (n, C) or NULL; noise (L, n, B) or NULL,
- * shared by the C / B column blocks; work arrays c, s (n, C), ac, as (C). */
-void oim_steps(int64_t n, int64_t C, int64_t B, int64_t L, double *restrict phi,
-               const int64_t *indptr, const int64_t *indices, const double *data,
-               const double *h, const double *kdt, const double *ks, const uint8_t *ks_on,
-               const double *dt_dw, const double *noise, double *restrict c,
-               double *restrict s, double *restrict ac, double *restrict as)
+/* Row i's sums over workspace columns [q0, q0 + W), each from 0.0 in CSR order: a
+ * fixed-width tile stays in registers across the row's nonzeros. */
+#define TILE(W)                                                                  \
+    for (; q0 + W <= C2; q0 += W) {                                              \
+        double t[W] = {0.0};                                                     \
+        for (int64_t jj = lo; jj < hi; jj++) {                                   \
+            const double a = data[jj], *wj = w + indices[jj] * C2 + q0;          \
+            for (int u = 0; u < W; u++)                                          \
+                t[u] += a * wj[u];                                               \
+        }                                                                        \
+        for (int u = 0; u < W; u++)                                              \
+            acc[q0 + u] = t[u];                                                  \
+    }
+
+/* phi (n, C); CSR (indptr, indices, data); h (n) or NULL; kdt (n); ks (L, C) used at
+ * step k if ks_on[k]; dt_dw (n, C) or NULL; z NULL or seed-major draws (B, zs): step k
+ * adds scale * z[b*zs + base[i] + k*stride[i]] to row i, seed b of all C / B variant
+ * blocks; work w (n + 1, 2C): row j is [cos phi_j | sin phi_j], row n a row's sums. */
+void oim_steps(int64_t n, int64_t C, int64_t B, int64_t L, int64_t zs, double scale,
+               double *restrict phi, const int64_t *indptr, const int64_t *indices,
+               const double *data, const double *h, const double *kdt, const double *ks,
+               const uint8_t *ks_on, const double *dt_dw, const double *z,
+               const int64_t *base, const int64_t *stride, double *restrict w)
 {
+    const int64_t C2 = 2 * C;
+    double *restrict acc = w + n * C2;
     for (int64_t k = 0; k < L; k++) {
-        for (int64_t e = 0; e < n * C; e++)
-            sincos(phi[e], &s[e], &c[e]);
-        for (int64_t i = 0; i < n; i++) {
+        for (int64_t j = 0; j < n; j++)
             for (int64_t q = 0; q < C; q++)
-                ac[q] = as[q] = 0.0;
-            for (int64_t jj = indptr[i]; jj < indptr[i + 1]; jj++) {
-                const double a = data[jj], *cj = c + indices[jj] * C, *sj = s + indices[jj] * C;
-                for (int64_t q = 0; q < C; q++) {
-                    ac[q] += a * cj[q];
-                    as[q] += a * sj[q];
+                sincos(phi[j * C + q], &w[j * C2 + C + q], &w[j * C2 + q]);
+        for (int64_t i = 0; i < n; i++) {
+            int64_t lo = indptr[i], hi = indptr[i + 1], q0 = 0;
+            TILE(8) TILE(4) TILE(2)
+            for (int64_t v = 0; v < C; v += B)  /* variant blocks, then seeds */
+                for (int64_t b = 0, q = v, e = i * C + v; b < B; b++, q++, e++) {
+                    const double c = w[i * C2 + q], s = w[i * C2 + C + q];
+                    double g = s * acc[q] - c * acc[C + q];
+                    if (h)
+                        g += h[i] * s;
+                    g *= kdt[i];
+                    if (ks_on[k])
+                        g += (s * c) * ks[k * C + q];
+                    double x = phi[e] - g;
+                    if (dt_dw)
+                        x += dt_dw[e];
+                    if (z)
+                        x += scale * z[b * zs + base[i] + k * stride[i]];
+                    if (x >= -TWO_PI && x < 2.0 * TWO_PI)  /* dynamics._wrap's fast rule */
+                        phi[e] = (x >= TWO_PI ? x - TWO_PI : x < 0.0 ? x + TWO_PI : x) + 0.0;
+                    else  /* numpy's remainder, as np.mod: also for NaN */
+                        phi[e] = (x = fmod(x, TWO_PI)) == 0.0 ? 0.0 : x < 0.0 ? x + TWO_PI : x;
                 }
-            }
-            for (int64_t q = 0, e = i * C; q < C; q++, e++) {
-                double g = s[e] * ac[q] - c[e] * as[q];
-                if (h)
-                    g += h[i] * s[e];
-                g *= kdt[i];
-                if (ks_on[k])
-                    g += (s[e] * c[e]) * ks[k * C + q];
-                double x = phi[e] - g;
-                if (dt_dw)
-                    x += dt_dw[e];
-                if (noise)
-                    x += noise[(k * n + i) * B + q % B];
-                if (x >= -TWO_PI && x < 2.0 * TWO_PI)  /* dynamics._wrap's fast rule */
-                    phi[e] = (x >= TWO_PI ? x - TWO_PI : x < 0.0 ? x + TWO_PI : x) + 0.0;
-                else  /* numpy's remainder, as np.mod: also for NaN */
-                    phi[e] = (x = fmod(x, TWO_PI)) == 0.0 ? 0.0 : x < 0.0 ? x + TWO_PI : x;
-            }
         }
     }
 }

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__ as _version
-from .dynamics import DynamicsParams, _as_variants, run_seeds
-from .errors import SpecificationError
+from .dynamics import DynamicsParams, _as_variants, _load_kernel, run_seeds
+from .errors import SpecificationError, _integer
 from .io import BestKnownCatalog
 from .oracles import brute_force
 from .problems import IsingProblem
@@ -66,8 +66,8 @@ class BenchmarkSpec:
     def __post_init__(self):
         if not isinstance(self.params, DynamicsParams):
             raise SpecificationError("params must be a DynamicsParams")
-        if not isinstance(self.runs, (int, np.integer)) or self.runs < 1:
-            raise SpecificationError("runs must be an integer >= 1")
+        _integer(self.runs, "runs", 1)
+        _integer(self.seed_base, "seed_base", 0)
         norm = []
         for entry in self.problems:
             if len(entry) == 2:
@@ -233,6 +233,7 @@ def run_benchmark(spec, parallelism=1):
     if workers <= 1:
         outputs = [_run_unit(t) for t in tasks]
     else:
+        _load_kernel()  # forked workers inherit it: one build and self-check
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_run_unit, tasks))
 

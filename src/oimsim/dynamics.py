@@ -28,13 +28,17 @@ term for drift(), step() and the batch integrator alike, so their
 arithmetic is identical; the sin(2 phi) term is computed as
 2 sin(phi) cos(phi) everywhere. The batch integrator runs each noise
 block through one call of _step.c, which does _advance's float operations
-in its order. It is compiled once per machine (cc -O3 -ffp-contract=off)
-into $XDG_CACHE_HOME/oimsim or ~/.cache/oimsim (delete it to rebuild) and
-loaded with ctypes only if a self-check finds numpy's bits on a probe.
-Else the numpy loop integrates: silently without a compiler or writable
-cache, with a RuntimeWarning after a failed self-check. drift(),
-lyapunov() and step() always use numpy. Randomness is split
-into independent substreams of the run seed,
+in its order. Its workspace has one row [cos phi_j | sin phi_j] per
+oscillator, so each coupling is one contiguous read that feeds both sums.
+Each block's draws go, seed by seed, into one reused seed-major buffer
+that holds each problem's (steps, spins) draws contiguously, and both
+paths read them from there. The kernel is compiled once per machine (cc
+-O3 -ffp-contract=off) into $XDG_CACHE_HOME/oimsim or ~/.cache/oimsim
+(delete it to rebuild) and loaded with ctypes only if a self-check finds
+numpy's bits on a probe. Else the numpy loop integrates: silently without
+a compiler or writable cache, with a RuntimeWarning after a failed
+self-check. drift(), lyapunov() and step() always use numpy. Randomness
+is split into independent substreams of the run seed,
 Generator(PCG64(SeedSequence((seed, stream)))), with stream 0 = initial
 phases, 1 = detuning, 2 = integration noise. Runs are bit-reproducible for
 a fixed (problem, params, seed) on a given platform.
@@ -59,7 +63,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionError, NumericalDivergenceError, SpecificationError
+from .errors import DimensionError, NumericalDivergenceError, SpecificationError, _integer
 from .oracles import greedy_descent
 from .problems import IsingProblem, hamiltonian, cut_from_hamiltonian
 
@@ -430,10 +434,18 @@ def _advance(Phi, adj, h_col, Kdt, ks2dt, dt_dw, incr, work):
 
 
 def _steps(Phi, adj, h_col, Kdt, ks_cols, ks_on, dt_dw, noise, work):
-    """_advance for each step k of a noise block: the numpy reference path."""
+    """_advance for each step k of a noise block, the numpy reference path;
+    noise is None or (z, base, stride, scale), read as _step.c reads it."""
     for k in range(len(ks_on)):
-        _advance(Phi, adj, h_col, Kdt, ks_cols[k] if ks_on[k] else None, dt_dw,
-                 None if noise is None else noise[k], work)
+        incr = None if noise is None else noise[3] * noise[0][:, noise[1] + k * noise[2]].T
+        _advance(Phi, adj, h_col, Kdt, ks_cols[k] if ks_on[k] else None, dt_dw, incr, work)
+
+
+def _noise_rows(sizes, L):
+    """Each row's (base, stride) into a seed-major (B, L * n) draw block
+    that holds each problem's (L, m) draws contiguously, in group order."""
+    first = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    return (L - 1) * first + np.arange(len(first)), np.repeat(sizes, sizes)
 
 
 @lru_cache(maxsize=1)
@@ -454,27 +466,34 @@ def _load_kernel():
         fn = ctypes.CDLL(str(lib)).oim_steps
     except (OSError, subprocess.SubprocessError):  # also: no cc on PATH
         return None
-    fn.argtypes, fn.restype = [ctypes.c_int64] * 4 + [ctypes.c_void_p] * 14, None
+    fn.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] + [ctypes.c_void_p] * 13
+    fn.restype = None
 
     def kernel(Phi, adj, h_col, Kdt, ks_cols, ks_on, dt_dw, noise, work):
         (n, C), L = Phi.shape, len(ks_on)
-        B = C if noise is None else noise.shape[2]
-        if Phi.dtype != np.float64 or not Phi.flags.c_contiguous or C % B:
-            raise ValueError("the step kernel needs a C-ordered float64 matrix")
+        z, base, stride, scale = noise or (None, None, None, 0.0)
+        B = C if z is None else len(z)
+        if (Phi.dtype != np.float64 or not Phi.flags.c_contiguous or C % B or z is not None
+                and not 0 <= np.min(base) <= np.max(base + (L - 1) * stride) < z.shape[1]):
+            raise ValueError("the step kernel needs a C-ordered float64 matrix, draws in range")
         cast = lambda a, shape, dtype=np.float64: None if a is None else (  # noqa: E731
             np.ascontiguousarray(np.broadcast_to(a, shape), dtype=dtype))
         arrays = [cast(adj.indptr, n + 1, np.int64), cast(adj.indices, adj.nnz, np.int64),
                   cast(adj.data, adj.nnz), cast(h_col, (n, 1)), cast(Kdt, (n, 1)),
                   cast(ks_cols, (L, C)), cast(ks_on, L, np.uint8), cast(dt_dw, (n, C)),
-                  cast(noise, (L, n, B))] + [cast(w, (n, C)) for w in work[:4]]
-        fn(n, C, B, L, Phi.ctypes.data, *(a if a is None else a.ctypes.data for a in arrays))
+                  cast(z, np.shape(z)), cast(base, n, np.int64), cast(stride, n, np.int64),
+                  np.empty((n + 1, 2 * C))]
+        fn(n, C, B, L, 0 if z is None else z.shape[1], scale, Phi.ctypes.data,
+           *(a if a is None else a.ctypes.data for a in arrays))
 
+    # 2C = 30 runs the 8-, 4- and 2-wide tiles; rows 0-3, 4-8: two packed problems
     rng = np.random.default_rng(0)
     args = (sp.csr_matrix(rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.4)),
             rng.normal(size=(9, 1)), rng.uniform(0.0, 0.1, (9, 1)),
-            rng.uniform(0.0, 0.1, (4, 6)) * (np.arange(6) > 0), np.arange(4) != 1,
-            rng.normal(0.0, 0.1, (9, 6)), rng.normal(0.0, 10.0, (4, 9, 2)))
-    ref = rng.uniform(-50.0, 50.0, (9, 6))
+            rng.uniform(0.0, 0.1, (4, 15)) * (np.arange(15) > 0), np.arange(4) != 1,
+            rng.normal(0.0, 0.1, (9, 15)),
+            (rng.normal(size=(5, 36)), *_noise_rows([4, 5], 4), 10.0))
+    ref = rng.uniform(-50.0, 50.0, (9, 15))
     out = ref.copy()
     _steps(ref, *args, _workspace(ref.shape))
     kernel(out, *args, _workspace(out.shape))
@@ -547,7 +566,6 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
     params = variants[0]  # for the fields that every variant shares
     sizes = [p.n for p in group]
     offsets = np.cumsum([0] + sizes)
-    blocks = [(slice(a, a + m), m) for a, m in zip(offsets, sizes)]
     n = int(offsets[-1])
     B = len(seeds)
     V = len(variants)
@@ -560,8 +578,8 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
     first = Phi[:, :B]
     if initial_phases is None:
         for b, seed in enumerate(seeds):
-            for rows, m in blocks:
-                first[rows, b] = _substream(seed, _STREAM_INIT).random(m) * TWO_PI
+            for a, m in zip(offsets, sizes):
+                first[a:a + m, b] = _substream(seed, _STREAM_INIT).random(m) * TWO_PI
     else:
         init = np.asarray(initial_phases, dtype=np.float64)
         if init.shape == (n,):
@@ -581,17 +599,14 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
         for v, prm in enumerate(variants):
             if prm.variability_pct > 0:
                 for b, seed in enumerate(seeds):
-                    for rows, m in blocks:
-                        dw[rows, v * B + b] = sample_detuning(
+                    for a, m in zip(offsets, sizes):
+                        dw[a:a + m, v * B + b] = sample_detuning(
                             m, prm.variability_pct, seed)
         dt_dw = dt * dw
 
-    noise_gens = []
-    scale = params.noise_amp * math.sqrt(dt)
-    if params.noise_amp > 0:
-        noise_gens = [(rows, m, b, _substream(seed, _STREAM_NOISE))
-                      for b, seed in enumerate(seeds)
-                      for rows, m in blocks]
+    gens = [] if params.noise_amp == 0 else [
+        (b, a, m, _substream(seed, _STREAM_NOISE)) for b, seed in enumerate(seeds)
+        for a, m in zip(offsets, sizes)]
 
     h_col = _field_col(group)
     adj = sp.block_diag([p.adjacency for p in group], format="csr")
@@ -612,15 +627,13 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
     record(0)
 
     chunk = max(1, min(256, _MAX_NOISE_DOUBLES // max(1, n * B)))
+    draws = np.empty((B, chunk * n)) if gens else None  # reused by every block
+    base, stride = _noise_rows(sizes, chunk)
     done = 0
     while done < total_steps:
         L = min(chunk, total_steps - done)
-        buf = None
-        if noise_gens:
-            buf = np.empty((L, n, B))
-            for rows, m, b, gen in noise_gens:
-                buf[:, rows, b] = gen.standard_normal((L, m))
-            buf *= scale
+        for b, a, m, gen in gens:
+            gen.standard_normal(out=draws[b, chunk * a:chunk * a + L * m])
         # 2*Ks*dt per (step, column); a step with Ks = 0 everywhere skips it
         t = (done + np.arange(L)) * dt
         ks2dt = 2.0 * dt * np.array([np.asarray(v.ks_at(t), dtype=np.float64)
@@ -631,7 +644,8 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
         a = 0
         for b in sorted({k - done for k in wanted if done < k < done + L}) + [L]:
             steps(Phi, adj, h_col, Kdt, ks_cols[a:b], ks_on[a:b], dt_dw,
-                  None if buf is None else buf[a:b], work)
+                  (draws, base + a * stride, stride, params.noise_amp * math.sqrt(dt))
+                  if gens else None, work)
             record(done + b)
             a = b
         done += L
@@ -663,6 +677,8 @@ def _runs(problem, params, seeds, total_weight, polish,
     """
     group = _as_group(problem)
     variants = _as_variants(params)
+    for seed in seeds:
+        _integer(seed, "seed", 0)
     if isinstance(problem, IsingProblem):
         total_weight = (total_weight,)
     elif total_weight is None:

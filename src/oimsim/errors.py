@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule."""
+
+import numbers
 
 
 class OimError(Exception):
@@ -51,3 +53,10 @@ class NumericalDivergenceError(OimError):
         self.step = step
         self.seed = seed
         self.problem = problem
+
+
+def _integer(value, name, least):
+    """value if it is an integer (Python or numpy) >= least; else SpecificationError."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise SpecificationError(f"{name} must be an integer >= {least}")
+    return value

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecificationError
+from .errors import SpecificationError, _integer
 from .problems import IsingProblem
 
 __all__ = ["Complete", "Torus", "FixedEdges", "random_ising"]
@@ -49,7 +49,7 @@ class FixedEdges:
 
 
 def _generator(seed):
-    ss = np.random.SeedSequence((int(seed), _GENERATOR_STREAM))
+    ss = np.random.SeedSequence((_integer(seed, "seed", 0), _GENERATOR_STREAM))
     return np.random.Generator(np.random.PCG64(ss))
 
 

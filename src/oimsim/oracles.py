@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, SpecificationError
+from .errors import CapacityError, SpecificationError, _integer
 from .problems import as_spins, hamiltonian
 
 __all__ = ["BRUTE_FORCE_MAX_N", "MINIMIZER_CAP", "BruteForceResult",
@@ -114,6 +114,7 @@ class SaParams:
             raise SpecificationError("need T_initial >= T_final")
         if self.moves_per_temp is not None and self.moves_per_temp < 1:
             raise SpecificationError("moves_per_temp must be >= 1")
+        _integer(self.seed, "seed", 0)
 
     @classmethod
     def long_run(cls, flips=10_000_000, seed=0):

@@ -6,6 +6,7 @@ over _advance is the reference. Every test here asks for equal bits.
 
 import dataclasses
 import os
+import shutil
 import warnings
 
 import numpy as np
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oimsim.dynamics as dyn
-from oimsim import (Complete, DynamicsParams, IsingProblem, KsSchedule,
-                    NumericalDivergenceError, random_ising)
+from oimsim import (BenchmarkSpec, Complete, DynamicsParams, IsingProblem, KsSchedule,
+                    NumericalDivergenceError, random_ising, run_benchmark)
 
 TWO_PI = 2.0 * np.pi
 
@@ -106,6 +107,24 @@ class TestFallback:
         assert os.listdir(tmp_path / "oimsim") == built
 
 
+    def test_pool_builds_once(self, fresh_loader, monkeypatch, tmp_path):
+        # a cold cache and two workers: the compiler starts once, before the
+        # fork; a shim logs each start and waits, so workers that built on
+        # their own would overlap and both build
+        kernel_or_skip()
+        dyn._load_kernel.cache_clear()
+        log, shim = tmp_path / "cc.log", tmp_path / "bin" / "cc"
+        shim.parent.mkdir()
+        shim.write_text(f'#!/bin/sh\necho start >> "{log}"\nsleep 0.5\n'
+                        f'exec "{shutil.which("cc")}" "$@"\n')
+        shim.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{shim.parent}{os.pathsep}{os.environ['PATH']}")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        spec = BenchmarkSpec(problems=(("a", group()[0]),), params=VARIANTS[0], runs=20)
+        run_benchmark(spec, parallelism=2)  # two 10-seed units
+        assert log.read_text().splitlines() == ["start"]
+
+
 def test_trace_same_on_both_paths(monkeypatch):
     # 120 steps in one noise block: the kernel is called between samples
     runs = [dyn.simulate(group()[1], VARIANTS[0], seed=3, trace_points=7)]
@@ -142,10 +161,13 @@ class TestDivergence:
 
 @st.composite
 def probes(draw):
-    """A phase matrix and one noise block's stepping arguments."""
-    n = draw(st.integers(1, 9))
-    B = draw(st.integers(1, 4))
-    C = B * draw(st.integers(1, 3))
+    """A phase matrix and one noise block's stepping arguments, for a packed
+    group of 1-3 problems of different sizes, C up to 20 columns, and draws
+    read from a step offset into a longer block (as between trace samples)."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True))
+    n = sum(sizes)
+    B = draw(st.integers(1, 5))
+    C = B * draw(st.integers(1, 4))
     L = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     adj = sp.csr_matrix(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.5))
@@ -155,8 +177,12 @@ def probes(draw):
     ks_cols[:, rng.integers(C)] = 0.0  # a column without SYNC
     ks_on = rng.random(L) < 0.7
     dt_dw = rng.normal(0.0, 0.1, (n, C)) if draw(st.booleans()) else None
-    noise = rng.normal(0.0, draw(st.sampled_from([0.1, 10.0])), (L, n, B)) \
-        if draw(st.booleans()) else None
+    noise = None
+    if draw(st.booleans()):
+        skip = draw(st.integers(0, 2))
+        base, stride = dyn._noise_rows(sizes, L + skip)
+        noise = (rng.normal(size=(B, (L + skip) * n)), base + skip * stride, stride,
+                 draw(st.sampled_from([0.1, 10.0])))
     Phi = rng.uniform(-draw(st.sampled_from([TWO_PI, 100.0])), 2 * TWO_PI, (n, C))
     return Phi, (adj, h_col, Kdt, ks_cols, ks_on, dt_dw, noise)
 

@@ -8,8 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oimsim import (DynamicsParams, IsingProblem, KsSchedule, ParseError,
-                    WeightedGraph, parse_gset, read_ising_json, run_seeds,
-                    simulate, write_gset, write_ising_json)
+                    SaParams, WeightedGraph, parse_gset, read_ising_json,
+                    run_seeds, simulate, simulated_annealing, write_gset,
+                    write_ising_json)
 
 FEW = settings(max_examples=25, deadline=None,
                suppress_health_check=[HealthCheck.too_slow])
@@ -123,3 +124,17 @@ def test_run_seeds_equals_simulate_per_seed(case, seeds, with_fields):
         assert np.array_equal(r.final_spins, single.final_spins)
         assert r.final_H == single.final_H
         assert r.final_cut == single.final_cut
+
+
+@FEW
+@given(edge_lists(min_edges=1, value=REAL_COUPLINGS), st.booleans(),
+       st.integers(0, 2 ** 63), st.integers(1, 400), st.sampled_from([None, 1, 3]))
+def test_sa_same_params_same_bits(problem, with_fields, seed, iterations, moves):
+    n, edges = problem
+    h = np.random.default_rng(seed).uniform(-2.0, 2.0, n) if with_fields else None
+    p = IsingProblem(n, edges, fields=h)
+    runs = [simulated_annealing(p, SaParams(iterations=iterations, moves_per_temp=moves,
+                                            seed=seed)) for _ in range(2)]
+    (spins_a, H_a), (spins_b, H_b) = runs
+    assert np.asarray(spins_a).tobytes() == np.asarray(spins_b).tobytes()
+    assert float(H_a).hex() == float(H_b).hex()
