@@ -578,8 +578,8 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
     first = Phi[:, :B]
     if initial_phases is None:
         for b, seed in enumerate(seeds):
-            for a, m in zip(offsets, sizes):
-                first[a:a + m, b] = _substream(seed, _STREAM_INIT).random(m) * TWO_PI
+            for off, m in zip(offsets, sizes):
+                first[off:off + m, b] = _substream(seed, _STREAM_INIT).random(m) * TWO_PI
     else:
         init = np.asarray(initial_phases, dtype=np.float64)
         if init.shape == (n,):
@@ -599,14 +599,14 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
         for v, prm in enumerate(variants):
             if prm.variability_pct > 0:
                 for b, seed in enumerate(seeds):
-                    for a, m in zip(offsets, sizes):
-                        dw[a:a + m, v * B + b] = sample_detuning(
+                    for off, m in zip(offsets, sizes):
+                        dw[off:off + m, v * B + b] = sample_detuning(
                             m, prm.variability_pct, seed)
         dt_dw = dt * dw
 
     gens = [] if params.noise_amp == 0 else [
-        (b, a, m, _substream(seed, _STREAM_NOISE)) for b, seed in enumerate(seeds)
-        for a, m in zip(offsets, sizes)]
+        (b, off, m, _substream(seed, _STREAM_NOISE)) for b, seed in enumerate(seeds)
+        for off, m in zip(offsets, sizes)]
 
     h_col = _field_col(group)
     adj = sp.block_diag([p.adjacency for p in group], format="csr")
@@ -632,8 +632,8 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
     done = 0
     while done < total_steps:
         L = min(chunk, total_steps - done)
-        for b, a, m, gen in gens:
-            gen.standard_normal(out=draws[b, chunk * a:chunk * a + L * m])
+        for b, off, m, gen in gens:
+            gen.standard_normal(out=draws[b, chunk * off:chunk * off + L * m])
         # 2*Ks*dt per (step, column); a step with Ks = 0 everywhere skips it
         t = (done + np.arange(L)) * dt
         ks2dt = 2.0 * dt * np.array([np.asarray(v.ks_at(t), dtype=np.float64)

@@ -106,7 +106,6 @@ class TestFallback:
         assert dyn._load_kernel() is not None
         assert os.listdir(tmp_path / "oimsim") == built
 
-
     def test_pool_builds_once(self, fresh_loader, monkeypatch, tmp_path):
         # a cold cache and two workers: the compiler starts once, before the
         # fork; a shim logs each start and waits, so workers that built on

@@ -1,4 +1,4 @@
-"""Property tests: file round trips, rejected rows, batch == single runs."""
+"""Property tests: file round trips, rejected rows, batch == single runs, SA determinism."""
 
 import json
 
