@@ -216,8 +216,7 @@ def run_benchmark(spec, parallelism=1):
     result equals that of running its spec alone.
     """
     specs, variants = _as_specs(spec)
-    if parallelism < 1:
-        raise SpecificationError("parallelism must be >= 1")
+    _integer(parallelism, "parallelism", 1)
     cpus = os.cpu_count()
     if cpus is not None and parallelism > cpus:
         warnings.warn(f"parallelism {parallelism} exceeds the {cpus} CPUs",
@@ -275,8 +274,7 @@ def histogram(values, reference=None, bins=10):
     vals = np.asarray(list(values), dtype=np.float64)
     if vals.size == 0:
         raise SpecificationError("histogram needs at least one value")
-    if bins < 1:
-        raise SpecificationError("bins must be >= 1")
+    _integer(bins, "bins", 1)
     if reference is not None:
         vals = vals - reference
     counts, edges = np.histogram(vals, bins=bins)

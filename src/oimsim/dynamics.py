@@ -337,8 +337,7 @@ def _field_col(group):
 def drift(problem, state, params, detuning=None):
     """Deterministic part of d phi / dt at the state's time."""
     Phi, dw = _columns(problem, state, detuning)
-    d = -_coupling(Phi, *_kernel_args(problem, params, state.time, 1.0),
-                   _workspace(Phi.shape))
+    d = -_coupling(Phi, *_kernel_args(problem, params, state.time, 1.0))
     if dw is not None:
         d += dw
     return d[:, 0]
@@ -363,7 +362,7 @@ def _lyapunov_cols(problem, Phi, K, ks):
     return e
 
 
-def _wrap(Phi, lo=None, hi=None):
+def _wrap(Phi):
     """Phi mod 2*pi in place, bit for bit equal to np.mod(Phi, 2*pi).
 
     On [-2*pi, 4*pi) one subtraction or addition of 2*pi does it: x - 2*pi
@@ -371,51 +370,39 @@ def _wrap(Phi, lo=None, hi=None):
     for x in [-2*pi, 0) np.mod also rounds x + 2*pi once (so a tiny
     negative x becomes 2*pi in both). Both masks come from the unwrapped
     values, and adding +0.0 turns -0 into +0 as np.mod does. NaN, inf or
-    values out of that range take np.mod itself. lo and hi are optional
-    boolean work arrays of Phi's shape.
+    values out of that range take np.mod itself.
     """
     if not (Phi.min() >= -TWO_PI and Phi.max() < 2.0 * TWO_PI):
         np.mod(Phi, TWO_PI, out=Phi)
         return
-    hi = np.greater_equal(Phi, TWO_PI, out=hi)
-    lo = np.less(Phi, 0.0, out=lo)
+    hi = Phi >= TWO_PI
+    lo = Phi < 0.0
     np.subtract(Phi, TWO_PI, out=Phi, where=hi)
     np.add(Phi, TWO_PI, out=Phi, where=lo)
     Phi += 0.0
 
 
-def _workspace(shape):
-    """Scratch arrays for _coupling and _advance: four float and two boolean."""
-    return tuple(np.empty(shape) for _ in range(4)) + \
-        tuple(np.empty(shape, dtype=bool) for _ in range(2))
-
-
-def _coupling(Phi, adj, h_col, Kdt, ks2dt, work):
-    """-dt times the drift without detuning, in work's third array.
+def _coupling(Phi, adj, h_col, Kdt, ks2dt):
+    """-dt times the drift without detuning, for an (n, C) phase matrix.
 
     Kdt = K*dt is a scalar or one value per row (packed problems differ in
     K when it is normalized by degree); ks2dt = 2*Ks(t)*dt is None when the
     SYNC term is off for every column, else a scalar or one value per
-    column. work is _workspace(Phi.shape) for an (n, C) phase matrix.
+    column.
     """
-    c, s, g, t = work[:4]
-    np.cos(Phi, out=c)
-    np.sin(Phi, out=s)
-    np.multiply(s, adj @ c, out=g)
-    np.multiply(c, adj @ s, out=t)
-    g -= t
+    c = np.cos(Phi)
+    s = np.sin(Phi)
+    g = s * (adj @ c)
+    g -= c * (adj @ s)
     if h_col is not None:
-        np.multiply(h_col, s, out=t)
-        g += t
+        g += h_col * s
     g *= Kdt
     if ks2dt is not None:
-        np.multiply(s, c, out=t)
-        t *= ks2dt
-        g += t
+        g += (s * c) * ks2dt
     return g
 
 
-def _advance(Phi, adj, h_col, Kdt, ks2dt, dt_dw, incr, work):
+def _advance(Phi, adj, h_col, Kdt, ks2dt, dt_dw, incr):
     """One Euler-Maruyama step, in place, on an (n, C) phase matrix.
 
     The deterministic part is _coupling's; dt_dw is the precomputed dt *
@@ -423,22 +410,22 @@ def _advance(Phi, adj, h_col, Kdt, ks2dt, dt_dw, incr, work):
     (n, B) with C a multiple of B: every B-column variant block gets the
     same draws.
     """
-    Phi -= _coupling(Phi, adj, h_col, Kdt, ks2dt, work)
+    Phi -= _coupling(Phi, adj, h_col, Kdt, ks2dt)
     if dt_dw is not None:
         Phi += dt_dw
     if incr is not None:
         n, B = incr.shape
         blocks = Phi.reshape(n, -1, B)
         blocks += incr[:, None, :]
-    _wrap(Phi, *work[4:])
+    _wrap(Phi)
 
 
-def _steps(Phi, adj, h_col, Kdt, ks_cols, ks_on, dt_dw, noise, work):
+def _steps(Phi, adj, h_col, Kdt, ks_cols, ks_on, dt_dw, noise):
     """_advance for each step k of a noise block, the numpy reference path;
     noise is None or (z, base, stride, scale), read as _step.c reads it."""
     for k in range(len(ks_on)):
         incr = None if noise is None else noise[3] * noise[0][:, noise[1] + k * noise[2]].T
-        _advance(Phi, adj, h_col, Kdt, ks_cols[k] if ks_on[k] else None, dt_dw, incr, work)
+        _advance(Phi, adj, h_col, Kdt, ks_cols[k] if ks_on[k] else None, dt_dw, incr)
 
 
 def _noise_rows(sizes, L):
@@ -469,7 +456,7 @@ def _load_kernel():
     fn.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] + [ctypes.c_void_p] * 13
     fn.restype = None
 
-    def kernel(Phi, adj, h_col, Kdt, ks_cols, ks_on, dt_dw, noise, work):
+    def kernel(Phi, adj, h_col, Kdt, ks_cols, ks_on, dt_dw, noise):
         (n, C), L = Phi.shape, len(ks_on)
         z, base, stride, scale = noise or (None, None, None, 0.0)
         B = C if z is None else len(z)
@@ -495,8 +482,8 @@ def _load_kernel():
             (rng.normal(size=(5, 36)), *_noise_rows([4, 5], 4), 10.0))
     ref = rng.uniform(-50.0, 50.0, (9, 15))
     out = ref.copy()
-    _steps(ref, *args, _workspace(ref.shape))
-    kernel(out, *args, _workspace(out.shape))
+    _steps(ref, *args)
+    kernel(out, *args)
     if ref.tobytes() != out.tobytes():
         warnings.warn("the compiled step kernel gives other bits than numpy here; "
                       "integrating with numpy", RuntimeWarning)
@@ -519,8 +506,7 @@ def step(state, problem, params, detuning=None, rng=None):
         incr = (params.noise_amp * math.sqrt(dt)) * rng.standard_normal((problem.n, 1))
     dt_dw = dt * dw if dw is not None and np.any(dw != 0.0) else None
     Phi = Phi.copy()
-    _advance(Phi, *_kernel_args(problem, params, state.time, dt), dt_dw, incr,
-             _workspace(Phi.shape))
+    _advance(Phi, *_kernel_args(problem, params, state.time, dt), dt_dw, incr)
     return PhaseState(Phi[:, 0], state.time + dt)
 
 
@@ -544,7 +530,7 @@ def _as_variants(params):
     return variants
 
 
-def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=None):
+def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0):
     """Integrate several independent runs as columns of one phase matrix.
 
     `problem` is one IsingProblem or a group (sequence) of them; a group is
@@ -557,9 +543,10 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
     product sums the same entries in the same order as the problem's own
     matrix, so a run's result does not depend on which runs, problems or
     variants share the batch.
-    Returns (Phi, trace) with Phi of shape (sum of n, V*B); trace is None or
-    (times, E, H) with E, H of shape (num_samples, B), and needs a group of
-    one problem and one variant.
+    Returns (Phi, trace) with Phi of shape (sum of n, V*B); trace is None
+    when trace_points is 0, else (times, E, H) with E, H of shape
+    (num_samples, B), sampled as simulate() documents; a trace needs a
+    group of one problem and one variant.
     """
     group = _as_group(problem)
     variants = _as_variants(params)
@@ -571,7 +558,7 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
     V = len(variants)
     dt = params.dt
     total_steps = params.total_steps
-    if trace_steps is not None and (len(group) != 1 or V != 1):
+    if _integer(trace_points, "trace_points", 0) and (len(group) != 1 or V != 1):
         raise SpecificationError("an energy trace covers a single problem and variant")
 
     Phi = np.empty((n, V * B))
@@ -588,6 +575,8 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
             first[:] = init
         else:
             raise DimensionError(f"initial_phases must have shape ({n},) or ({n}, {B})")
+        if not np.all(np.isfinite(first)):
+            raise SpecificationError("initial_phases must be finite")
         first %= TWO_PI
     for v in range(1, V):
         Phi[:, v * B:(v + 1) * B] = first
@@ -612,26 +601,25 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
     adj = sp.block_diag([p.adjacency for p in group], format="csr")
     K_eff = [params.effective_K(p) for p in group]
     Kdt = np.repeat(np.multiply(K_eff, dt), sizes).reshape(-1, 1)
-    work = _workspace(Phi.shape)
     steps = _load_kernel() or _steps
-
-    # energy trace: (time, E, rounded H) at each step in trace_steps
-    wanted = set() if trace_steps is None else set(np.asarray(trace_steps).tolist())
-    samples = []
-
-    def record(k):
-        if k in wanted:
-            E = _lyapunov_cols(group[0], Phi, K_eff[0], float(params.ks_at(k * dt)))
-            samples.append((k * dt, E, [hamiltonian(group[0], s) for s in round_phases(Phi).T]))
-
-    record(0)
 
     chunk = max(1, min(256, _MAX_NOISE_DOUBLES // max(1, n * B)))
     draws = np.empty((B, chunk * n)) if gens else None  # reused by every block
-    base, stride = _noise_rows(sizes, chunk)
+    noise = (draws, *_noise_rows(sizes, chunk), params.noise_amp * math.sqrt(dt)) \
+        if gens else None
+    # an energy trace samples (time, E, rounded H) at block ends: every
+    # multiple of `every` steps (from 0 when trace_points > 1) and the end
+    every = -(-total_steps // (trace_points - 1)) if trace_points > 1 else total_steps
+    samples = []
     done = 0
-    while done < total_steps:
-        L = min(chunk, total_steps - done)
+    while True:
+        if trace_points and (done == total_steps or trace_points > 1 and done % every == 0):
+            E = _lyapunov_cols(group[0], Phi, K_eff[0], float(params.ks_at(done * dt)))
+            samples.append((done * dt, E, [hamiltonian(group[0], s)
+                                           for s in round_phases(Phi).T]))
+        if done == total_steps:
+            break
+        L = min(chunk, total_steps - done, every - done % every)
         for b, off, m, gen in gens:
             gen.standard_normal(out=draws[b, chunk * off:chunk * off + L * m])
         # 2*Ks*dt per (step, column); a step with Ks = 0 everywhere skips it
@@ -639,15 +627,7 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
         ks2dt = 2.0 * dt * np.array([np.asarray(v.ks_at(t), dtype=np.float64)
                                      for v in variants])
         ks_on = ks2dt.any(axis=0)
-        ks_cols = np.repeat(ks2dt.T, B, axis=1)
-        # one call per block, split at the trace's sample steps
-        a = 0
-        for b in sorted({k - done for k in wanted if done < k < done + L}) + [L]:
-            steps(Phi, adj, h_col, Kdt, ks_cols[a:b], ks_on[a:b], dt_dw,
-                  (draws, base + a * stride, stride, params.noise_amp * math.sqrt(dt))
-                  if gens else None, work)
-            record(done + b)
-            a = b
+        steps(Phi, adj, h_col, Kdt, np.repeat(ks2dt.T, B, axis=1), ks_on, dt_dw, noise)
         done += L
         if not np.all(np.isfinite(Phi)):
             finite = np.isfinite(Phi)
@@ -657,18 +637,11 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_steps=No
                 "non-finite phases", step=done, seed=seeds[col % B],
                 problem=p if group[p].name is None else group[p].name)
 
-    if trace_steps is None:
-        return Phi, None
-    return Phi, tuple(np.array(x) for x in zip(*samples))
-
-
-def _trace_indices(total_steps, max_points):
-    count = min(int(max_points), total_steps + 1)
-    return np.unique(np.round(np.linspace(0, total_steps, count)).astype(np.int64))
+    return Phi, tuple(np.array(x) for x in zip(*samples)) if trace_points else None
 
 
 def _runs(problem, params, seeds, total_weight, polish,
-          initial_phases=None, trace_steps=None):
+          initial_phases=None, trace_points=0):
     """Integrate a batch and build one RunResult per (variant, problem, seed).
 
     Rounds the final phases, applies polish, scores H and the cut, splits
@@ -686,7 +659,7 @@ def _runs(problem, params, seeds, total_weight, polish,
     B = len(seeds)
     t0 = time.perf_counter()
     Phi, trace = _integrate_batch(group, variants, seeds, initial_phases=initial_phases,
-                                  trace_steps=trace_steps)
+                                  trace_points=trace_points)
     spins_mat = round_phases(Phi)
     wall = (time.perf_counter() - t0) / (len(variants) * len(group) * B)
     energy_trace = None
@@ -720,16 +693,19 @@ def simulate(problem, params=None, seed=0, *, total_weight=None,
     params.cycles. Deterministic given (problem, params, seed).
 
     total_weight, when given, also reports the MAX-CUT value of the final
-    spins. trace_points > 0 samples (time, Lyapunov, rounded H) at at most
-    that many uniformly spaced steps. polish=True applies single-flip
-    greedy descent to the rounded spins (off by default: raw thresholded
-    dynamics output).
+    spins. trace_points, an integer >= 0, asks for an energy trace of
+    (time, Lyapunov, rounded H) samples: at most trace_points of them, the
+    last at the final step. With 2 or more points they are taken every s =
+    ceil(total_steps / (trace_points - 1)) steps from t = 0, at the ends of
+    noise blocks cut to that length, plus the final step when s does not
+    divide total_steps; with 1 point, only the final step. polish=True
+    applies single-flip greedy descent to the rounded spins (off by
+    default: raw thresholded dynamics output).
     """
     if params is None:
         params = DynamicsParams()
-    trace_steps = _trace_indices(params.total_steps, trace_points) if trace_points else None
     return _runs(problem, params, [seed], total_weight, polish,
-                 initial_phases=initial_phases, trace_steps=trace_steps)[0]
+                 initial_phases=initial_phases, trace_points=trace_points)[0]
 
 
 def run_seeds(problem, params, seeds, *, total_weight=None, polish=False):

@@ -73,6 +73,13 @@ class TestRunBenchmark:
         with pytest.raises(SpecificationError):
             BenchmarkSpec(problems=(("x", p),), runs=0)
 
+    @pytest.mark.parametrize("parallelism", [0, 1.5, None, "2"])
+    def test_parallelism_must_be_a_positive_integer(self, parallelism):
+        spec = BenchmarkSpec(problems=(("x", IsingProblem(2, [(0, 1, 1.0)])),),
+                             params=quick_params(), runs=20)  # two units
+        with pytest.raises(SpecificationError, match="parallelism"):
+            run_benchmark(spec, parallelism=parallelism)
+
     @pytest.mark.parametrize("bad", [{"params": None}, {"runs": 2.5}, {"runs": "3"}])
     def test_spec_types_rejected(self, bad):
         p = IsingProblem(2, [(0, 1, 1.0)])
@@ -150,6 +157,11 @@ class TestHistogram:
     def test_empty_rejected(self):
         with pytest.raises(SpecificationError):
             histogram([])
+
+    @pytest.mark.parametrize("bins", [0, 2.5, None, "3"])
+    def test_bins_must_be_a_positive_integer(self, bins):
+        with pytest.raises(SpecificationError, match="bins"):
+            histogram([1.0, 2.0], bins=bins)
 
     def test_random_energy_baseline_centered(self):
         # mean H of random spins on a random +-1/0 instance is ~0

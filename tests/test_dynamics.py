@@ -308,6 +308,52 @@ class TestSimulate:
         assert ei.value.step is not None
 
 
+class TestTraceSampler:
+    # (total_steps, trace_points, samples): every s = ceil(T / (points - 1))
+    # steps from 0, plus the final step when s does not divide T
+    @pytest.mark.parametrize("total, points, count", [
+        (5, 1, 1), (5, 2, 2), (7, 3, 3), (10, 4, 4), (120, 7, 7), (301, 50, 44),
+        (5, 10, 6), (7, 8, 8)])
+    @pytest.mark.parametrize("block_doubles", [None, 24])
+    def test_sample_steps(self, total, points, count, block_doubles, monkeypatch):
+        import oimsim.dynamics as dyn
+        if block_doubles is not None:  # 24 // 6 spins: 4-step noise blocks
+            monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", block_doubles)
+        p = random_problem(6, 9)
+        prm = params_with(cycles=total / 4, steps_per_cycle=4, noise_amp=0.2)
+        res = simulate(p, prm, seed=1, trace_points=points)
+        tr = res.trajectory_energy
+        steps = tr.times * 4  # dt = 1/4: exact
+        assert len(steps) == count <= points
+        assert steps[-1] == total
+        if points >= 2:
+            assert steps[0] == 0
+            gaps = np.diff(steps[:-1])
+            assert np.all(gaps == -(-total // (points - 1)))
+            assert 0 < steps[-1] - steps[-2] <= -(-total // (points - 1))
+        assert tr.rounded_H[-1] == res.final_H
+        assert len(tr.lyapunov) == len(tr.rounded_H) == count
+
+    @pytest.mark.parametrize("bad", [-5, 2.5, "3", None])
+    def test_trace_points_must_be_an_integer(self, bad):
+        from oimsim import SpecificationError
+        with pytest.raises(SpecificationError, match="trace_points"):
+            simulate(random_problem(4, 1), params_with(cycles=1.0), seed=0,
+                     trace_points=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_phases_rejected(self, bad):
+        from oimsim import SpecificationError
+        from oimsim.dynamics import _integrate_batch
+        p = random_problem(4, 1)
+        phi = np.array([0.1, bad, 0.3, 0.4])
+        with pytest.raises(SpecificationError, match="finite"):
+            simulate(p, params_with(cycles=1.0), seed=0, initial_phases=phi)
+        with pytest.raises(SpecificationError, match="finite"):
+            _integrate_batch(p, params_with(cycles=1.0), [0, 1],
+                             initial_phases=np.column_stack([np.zeros(4), phi]))
+
+
 class TestPackedGroups:
     def test_noise_block_size_does_not_change_results(self, monkeypatch):
         import oimsim.dynamics as dyn
@@ -340,7 +386,7 @@ class TestPackedGroups:
         from oimsim.dynamics import _integrate_batch
         group = [random_problem(4, 1), random_problem(4, 2)]
         with pytest.raises(SpecificationError):
-            _integrate_batch(group, params_with(cycles=1.0), [0], trace_steps=[0])
+            _integrate_batch(group, params_with(cycles=1.0), [0], trace_points=2)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_seed_and_problem(self):
@@ -431,12 +477,11 @@ class TestExactWrap:
         expected = np.mod(values, TWO_PI)
         assert np.array_equal(wrapped(values), expected, equal_nan=True)
 
-    def test_matrix_with_work_arrays(self):
+    def test_matrix(self):
         from oimsim.dynamics import _wrap
         x = np.random.default_rng(0).uniform(-TWO_PI, 2 * TWO_PI, (50, 6))
         expected = np.mod(x, TWO_PI)
-        lo, hi = np.empty(x.shape, bool), np.empty(x.shape, bool)
-        _wrap(x, lo, hi)
+        _wrap(x)
         assert np.array_equal(x.view(np.int64), expected.view(np.int64))
 
 
