@@ -7,9 +7,10 @@ units are fanned out over a process pool of at most one worker per unit.
 Specs that differ only in params, their DynamicsParams (an ablation's
 variants), share the plan: each unit integrates every variant as column
 blocks of one phase matrix, drawing each seed's initial phases and noise
-once. Units and seeding depend only on the spec, and every (problem,
-seed) run is bit-identical whether it executes singly, batched, packed,
-beside other variants or in a pool, so results are identical for any
+once; a worker splits a unit's seeds over cpus // workers threads. Units
+and seeding depend only on the spec, and every (problem, seed) run is
+bit-identical whether it executes singly, batched, packed, beside other
+variants, on any thread or in a pool, so results are identical for any
 parallelism degree and rerunning a spec reproduces every per-run record.
 A run's secs is its unit's wall time split evenly among all the unit's
 runs, of every variant.
@@ -18,7 +19,6 @@ runs, of every variant.
 from __future__ import annotations
 
 import json
-import os
 import statistics
 import time
 import warnings
@@ -28,7 +28,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__ as _version
-from .dynamics import DynamicsParams, _as_variants, _load_kernel, run_seeds
+from .dynamics import (DynamicsParams, _as_variants, _load_kernel, _share_cpus,
+                       _usable_cpus, run_seeds)
 from .errors import SpecificationError, _integer
 from .io import BestKnownCatalog
 from .oracles import brute_force
@@ -217,8 +218,8 @@ def run_benchmark(spec, parallelism=1):
     """
     specs, variants = _as_specs(spec)
     _integer(parallelism, "parallelism", 1)
-    cpus = os.cpu_count()
-    if cpus is not None and parallelism > cpus:
+    cpus = _usable_cpus()
+    if parallelism > cpus:
         warnings.warn(f"parallelism {parallelism} exceeds the {cpus} CPUs",
                       RuntimeWarning, stacklevel=2)
     t0 = time.perf_counter()
@@ -233,7 +234,8 @@ def run_benchmark(spec, parallelism=1):
         outputs = [_run_unit(t) for t in tasks]
     else:
         _load_kernel()  # forked workers inherit it: one build and self-check
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share_cpus,
+                                 initargs=(max(1, cpus // workers),)) as pool:
             outputs = list(pool.map(_run_unit, tasks))
 
     # units run a group's chunks in seed order; each output is variant-major,

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .bench import BenchmarkSpec, export, run_benchmark, write_export
-from .dynamics import DEFAULTS, DynamicsParams, KsSchedule, simulate
+from .dynamics import DEFAULTS, DynamicsParams, KsSchedule, _usable_cpus, simulate
 from .errors import (CapacityError, NumericalDivergenceError, OimError,
                      ParseError, SpecificationError)
 from .generators import Complete, Torus, random_ising
@@ -90,7 +90,7 @@ def _threads(args):
             return max(1, int(env))
         except ValueError:
             raise SpecificationError(f"OIM_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    return _usable_cpus()
 
 
 def _infer_format(path, fmt):

@@ -32,9 +32,13 @@ in its order. Its workspace has one row [cos phi_j | sin phi_j] per
 oscillator, so each coupling is one contiguous read that feeds both sums.
 Each block's draws go, seed by seed, into one reused seed-major buffer
 that holds each problem's (steps, spins) draws contiguously, and both
-paths read them from there. The kernel is compiled once per machine (cc
--O3 -ffp-contract=off) into $XDG_CACHE_HOME/oimsim or ~/.cache/oimsim
-(delete it to rebuild) and loaded with ctypes only if a self-check finds
+paths read them from there. The seeds are split into one contiguous slice
+per thread (the usable CPUs, a pool worker's share of them, one when
+tracing); a slice draws and advances only its own seeds, and the kernel
+call and the draws release the GIL, so slices run side by side. The
+kernel is compiled once per machine (cc -O3 -ffp-contract=off) into
+$XDG_CACHE_HOME/oimsim or ~/.cache/oimsim (delete it to rebuild; a build
+removes older builds) and loaded with ctypes only if a self-check finds
 numpy's bits on a probe. Else the numpy loop integrates: silently without
 a compiler or writable cache, with a RuntimeWarning after a failed
 self-check. drift(), lyapunov() and step() always use numpy. Randomness
@@ -55,8 +59,9 @@ import subprocess
 import tempfile
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from pathlib import Path
 
@@ -420,7 +425,7 @@ def _advance(Phi, adj, h_col, Kdt, ks2dt, dt_dw, incr):
     _wrap(Phi)
 
 
-def _steps(Phi, adj, h_col, Kdt, ks_cols, ks_on, dt_dw, noise):
+def _steps(Phi, adj, h_col, Kdt, dt_dw, noise, ks_cols, ks_on):
     """_advance for each step k of a noise block, the numpy reference path;
     noise is None or (z, base, stride, scale), read as _step.c reads it."""
     for k in range(len(ks_on)):
@@ -435,10 +440,25 @@ def _noise_rows(sizes, L):
     return (L - 1) * first + np.arange(len(first)), np.repeat(sizes, sizes)
 
 
+def _usable_cpus():
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+_threads = None  # threads per integration here, None for _usable_cpus()
+
+
+def _share_cpus(threads):  # bench's pool initializer
+    global _threads
+    _threads = threads
+
+
 @lru_cache(maxsize=1)
 def _load_kernel():
-    """_steps compiled from _step.c, or None (see the module docstring); the
-    self-check turns every term on and puts phases beyond [-2*pi, 4*pi)."""
+    """_steps compiled from _step.c as kernel(...)(ks_cols, ks_on), or None (see
+    the module docstring); the self-check turns all terms on and puts phases
+    beyond [-2*pi, 4*pi)."""
     src = resources.files("oimsim").joinpath("_step.c").read_bytes()
     flags = ["-O3", "-ffp-contract=off", "-fPIC", "-shared"]
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "oimsim"
@@ -450,40 +470,52 @@ def _load_kernel():
                 subprocess.run(["cc", *flags, "-x", "c", "-", "-o", f"{tmp}/k.so", "-lm"],
                                input=src, capture_output=True, check=True, timeout=300)
                 os.replace(f"{tmp}/k.so", lib)
+            for stale in set(cache.glob("_step-*.so")) - {lib}:  # older sources or flags
+                stale.unlink(missing_ok=True)
         fn = ctypes.CDLL(str(lib)).oim_steps
     except (OSError, subprocess.SubprocessError):  # also: no cc on PATH
         return None
     fn.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] + [ctypes.c_void_p] * 13
     fn.restype = None
 
-    def kernel(Phi, adj, h_col, Kdt, ks_cols, ks_on, dt_dw, noise):
-        (n, C), L = Phi.shape, len(ks_on)
+    def kernel(Phi, adj, h_col, Kdt, dt_dw, noise):
+        """advance(ks_cols, ks_on), doing _steps on Phi; the rest made kernel-ready once."""
+        n, C = Phi.shape
         z, base, stride, scale = noise or (None, None, None, 0.0)
         B = C if z is None else len(z)
-        if (Phi.dtype != np.float64 or not Phi.flags.c_contiguous or C % B or z is not None
-                and not 0 <= np.min(base) <= np.max(base + (L - 1) * stride) < z.shape[1]):
-            raise ValueError("the step kernel needs a C-ordered float64 matrix, draws in range")
         cast = lambda a, shape, dtype=np.float64: None if a is None else (  # noqa: E731
             np.ascontiguousarray(np.broadcast_to(a, shape), dtype=dtype))
-        arrays = [cast(adj.indptr, n + 1, np.int64), cast(adj.indices, adj.nnz, np.int64),
-                  cast(adj.data, adj.nnz), cast(h_col, (n, 1)), cast(Kdt, (n, 1)),
-                  cast(ks_cols, (L, C)), cast(ks_on, L, np.uint8), cast(dt_dw, (n, C)),
-                  cast(z, np.shape(z)), cast(base, n, np.int64), cast(stride, n, np.int64),
-                  np.empty((n + 1, 2 * C))]
-        fn(n, C, B, L, 0 if z is None else z.shape[1], scale, Phi.ctypes.data,
-           *(a if a is None else a.ctypes.data for a in arrays))
+        base, stride = cast(base, n, np.int64), cast(stride, n, np.int64)
+        zs = 0 if z is None else z.shape[1]
+        if any(a is not None and (a.dtype != np.float64 or not a.flags.c_contiguous)
+               for a in (Phi, z)) or C % B or z is not None and base.min() < 0:
+            raise ValueError("the step kernel needs C-ordered float64 phases and draws")
+        keep = [Phi, cast(adj.indptr, n + 1, np.int64), cast(adj.indices, adj.nnz, np.int64),
+                cast(adj.data, adj.nnz), cast(h_col, (n, 1)), cast(Kdt, (n, 1)),
+                cast(dt_dw, (n, C)), z, base, stride, np.empty((n + 1, 2 * C))]
+        ptrs = [a if a is None else a.ctypes.data for a in keep]
+
+        def advance(ks_cols, ks_on):
+            ks = np.ascontiguousarray(ks_cols, np.float64)
+            on = np.ascontiguousarray(ks_on, np.uint8)
+            L = len(on)
+            if ks.shape != (L, C) or z is not None and (base + (L - 1) * stride).max() >= zs:
+                raise ValueError("the step kernel needs (L, C) Ks values, draws in range")
+            fn(n, C, B, L, zs, scale, *ptrs[:6], ks.ctypes.data, on.ctypes.data, *ptrs[6:])
+        advance.buffers = keep  # what ptrs point into lives as long as advance
+        return advance
 
     # 2C = 30 runs the 8-, 4- and 2-wide tiles; rows 0-3, 4-8: two packed problems
     rng = np.random.default_rng(0)
     args = (sp.csr_matrix(rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.4)),
             rng.normal(size=(9, 1)), rng.uniform(0.0, 0.1, (9, 1)),
-            rng.uniform(0.0, 0.1, (4, 15)) * (np.arange(15) > 0), np.arange(4) != 1,
             rng.normal(0.0, 0.1, (9, 15)),
             (rng.normal(size=(5, 36)), *_noise_rows([4, 5], 4), 10.0))
+    block = (rng.uniform(0.0, 0.1, (4, 15)) * (np.arange(15) > 0), np.arange(4) != 1)
     ref = rng.uniform(-50.0, 50.0, (9, 15))
     out = ref.copy()
-    _steps(ref, *args)
-    kernel(out, *args)
+    _steps(ref, *args, *block)
+    kernel(out, *args)(*block)
     if ref.tobytes() != out.tobytes():
         warnings.warn("the compiled step kernel gives other bits than numpy here; "
                       "integrating with numpy", RuntimeWarning)
@@ -542,7 +574,7 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     from its own seed substreams, and each row of the block-diagonal
     product sums the same entries in the same order as the problem's own
     matrix, so a run's result does not depend on which runs, problems or
-    variants share the batch.
+    variants share the batch, or on which thread's slice of seeds.
     Returns (Phi, trace) with Phi of shape (sum of n, V*B); trace is None
     when trace_points is 0, else (times, E, H) with E, H of shape
     (num_samples, B), sampled as simulate() documents; a trace needs a
@@ -601,43 +633,64 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     adj = sp.block_diag([p.adjacency for p in group], format="csr")
     K_eff = [params.effective_K(p) for p in group]
     Kdt = np.repeat(np.multiply(K_eff, dt), sizes).reshape(-1, 1)
-    steps = _load_kernel() or _steps
+    bind = _load_kernel() or partial(partial, _steps)  # numpy: _steps, arguments bound
 
     chunk = max(1, min(256, _MAX_NOISE_DOUBLES // max(1, n * B)))
     draws = np.empty((B, chunk * n)) if gens else None  # reused by every block
     noise = (draws, *_noise_rows(sizes, chunk), params.noise_amp * math.sqrt(dt)) \
         if gens else None
+    # one thread per slice of seeds b0:b1, which owns its columns of every variant (as
+    # one C-ordered matrix), its generators and its rows of the draw buffer
+    T = 1 if trace_points else min(_threads or _usable_cpus(), B)
+    cols = lambda a, b0, b1: a.reshape(n, V, B)[:, :, b0:b1]  # noqa: E731
+    slices = []  # (b0, b1, phases, generators, advance)
+    for b0, b1 in ((B * t // T, B * (t + 1) // T) for t in range(T)):
+        phi = np.ascontiguousarray(cols(Phi, b0, b1)).reshape(n, -1)
+        dw_t = None if dt_dw is None else cols(dt_dw, b0, b1).reshape(n, -1)
+        slices.append((b0, b1, phi, [g for g in gens if b0 <= g[0] < b1], bind(
+            phi, adj, h_col, Kdt, dw_t, noise and (draws[b0:b1], *noise[1:]))))
+    gather = lambda: np.concatenate(  # noqa: E731
+        [phi.reshape(n, V, -1) for _, _, phi, *_ in slices], axis=2).reshape(n, -1)
+
+    def block(part, L, ks2dt, ks_on):  # draw a slice's noise, advance it; True if finite
+        b0, b1, phi, own, advance = part
+        for b, off, m, gen in own:
+            gen.standard_normal(out=draws[b, chunk * off:chunk * off + L * m])
+        advance(np.repeat(ks2dt.T, b1 - b0, axis=1), ks_on)
+        return np.isfinite(phi).all()
+
     # an energy trace samples (time, E, rounded H) at block ends: every
     # multiple of `every` steps (from 0 when trace_points > 1) and the end
     every = -(-total_steps // (trace_points - 1)) if trace_points > 1 else total_steps
     samples = []
     done = 0
-    while True:
-        if trace_points and (done == total_steps or trace_points > 1 and done % every == 0):
-            E = _lyapunov_cols(group[0], Phi, K_eff[0], float(params.ks_at(done * dt)))
-            samples.append((done * dt, E, [hamiltonian(group[0], s)
-                                           for s in round_phases(Phi).T]))
-        if done == total_steps:
-            break
-        L = min(chunk, total_steps - done, every - done % every)
-        for b, off, m, gen in gens:
-            gen.standard_normal(out=draws[b, chunk * off:chunk * off + L * m])
-        # 2*Ks*dt per (step, column); a step with Ks = 0 everywhere skips it
-        t = (done + np.arange(L)) * dt
-        ks2dt = 2.0 * dt * np.array([np.asarray(v.ks_at(t), dtype=np.float64)
-                                     for v in variants])
-        ks_on = ks2dt.any(axis=0)
-        steps(Phi, adj, h_col, Kdt, np.repeat(ks2dt.T, B, axis=1), ks_on, dt_dw, noise)
-        done += L
-        if not np.all(np.isfinite(Phi)):
-            finite = np.isfinite(Phi)
-            col = int(np.argmin(finite.all(axis=0)))
-            p = int(np.searchsorted(offsets, np.argmin(finite[:, col]), side="right")) - 1
-            raise NumericalDivergenceError(
-                "non-finite phases", step=done, seed=seeds[col % B],
-                problem=p if group[p].name is None else group[p].name)
+    with ThreadPoolExecutor(T) as pool:  # starts no thread when T = 1
+        run = pool.map if T > 1 else map
+        while True:
+            if trace_points and (done == total_steps or trace_points > 1 and done % every == 0):
+                Phi = gather()
+                E = _lyapunov_cols(group[0], Phi, K_eff[0], float(params.ks_at(done * dt)))
+                samples.append((done * dt, E, [hamiltonian(group[0], s)
+                                               for s in round_phases(Phi).T]))
+            if done == total_steps:
+                break
+            L = min(chunk, total_steps - done, every - done % every)
+            # 2*Ks*dt per (step, variant); a step with Ks = 0 everywhere skips it
+            t = (done + np.arange(L)) * dt
+            ks2dt = 2.0 * dt * np.array([np.asarray(v.ks_at(t), dtype=np.float64)
+                                         for v in variants])
+            ks_on = ks2dt.any(axis=0)
+            finite = list(run(lambda part: block(part, L, ks2dt, ks_on), slices))
+            done += L
+            if not all(finite):  # the first column in column order names the run
+                finite = np.isfinite(gather())
+                col = int(np.argmin(finite.all(axis=0)))
+                p = int(np.searchsorted(offsets, np.argmin(finite[:, col]), side="right")) - 1
+                raise NumericalDivergenceError(
+                    "non-finite phases", step=done, seed=seeds[col % B],
+                    problem=p if group[p].name is None else group[p].name)
 
-    return Phi, tuple(np.array(x) for x in zip(*samples)) if trace_points else None
+    return gather(), tuple(np.array(x) for x in zip(*samples)) if trace_points else None
 
 
 def _runs(problem, params, seeds, total_weight, polish,

@@ -105,7 +105,7 @@ class TestPlanner:
         class Recorder:
             max_workers = []
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **pool_args):
                 Recorder.max_workers.append(max_workers)
 
             def __enter__(self):
@@ -250,7 +250,7 @@ class Recorder:
 
     max_workers = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **pool_args):
         Recorder.max_workers.append(max_workers)
 
     def __enter__(self):
@@ -342,11 +342,10 @@ class TestTiming:
         assert timing["total_secs"] == summaries[0].total_secs
 
     def test_warns_above_cpu_count(self, monkeypatch):
-        import os
         import warnings
         import oimsim.bench as bench
         monkeypatch.setattr(bench, "ProcessPoolExecutor", Recorder)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)
         problems = tuple((f"p{k}", random_ising(250, Complete(), seed=k))
                          for k in range(2))
         spec = BenchmarkSpec(problems=problems, params=quick_params(1.0), runs=2)

@@ -6,8 +6,9 @@ not change a single bit. A change that alters the numerics on purpose
 updates these hashes and says so in CHANGES.md.
 
 The module-level tests run the default integrator: the compiled step
-kernel wherever it loads. TestNumpyPath runs each of them again on the
-numpy reference loop.
+kernel wherever it loads, on as many threads as the process has CPUs.
+TestNumpyPath runs each of them again on the numpy reference loop, and
+TestThreadBudgets on both paths at one and at two threads per integration.
 """
 
 import hashlib
@@ -119,6 +120,24 @@ class TestNumpyPath:
     def numpy_integrator(self, monkeypatch):
         # pool workers are forked from this process, so they see it too
         monkeypatch.setattr(dyn, "_load_kernel", lambda: None)
+
+    test_simulate_golden = staticmethod(test_simulate_golden)
+    test_run_seeds_golden = staticmethod(test_run_seeds_golden)
+    test_packed_run_seeds_golden = staticmethod(test_packed_run_seeds_golden)
+    test_run_benchmark_golden = staticmethod(test_run_benchmark_golden)
+    test_ablation_golden = staticmethod(test_ablation_golden)
+
+
+class TestThreadBudgets:
+    @pytest.fixture(autouse=True, params=[(1, "kernel"), (2, "kernel"), (1, "numpy"),
+                                          (2, "numpy")], ids=lambda p: f"{p[1]}-{p[0]}")
+    def budget(self, request, monkeypatch):
+        # in-process integrations split their seeds over this many threads;
+        # pool workers keep their share of the real CPUs
+        threads, path = request.param
+        monkeypatch.setattr(dyn, "_usable_cpus", lambda: threads)
+        if path == "numpy":
+            monkeypatch.setattr(dyn, "_load_kernel", lambda: None)
 
     test_simulate_golden = staticmethod(test_simulate_golden)
     test_run_seeds_golden = staticmethod(test_run_seeds_golden)

@@ -15,6 +15,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oimsim.bench as bench
 import oimsim.dynamics as dyn
 from oimsim import (BenchmarkSpec, Complete, DynamicsParams, IsingProblem, KsSchedule,
                     NumericalDivergenceError, random_ising, run_benchmark)
@@ -97,6 +98,9 @@ class TestFallback:
         kernel_or_skip()
         dyn._load_kernel.cache_clear()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        # a build of another source: a successful build removes it
+        (tmp_path / "oimsim").mkdir()
+        (tmp_path / "oimsim" / "_step-0123456789abcdef.so").write_text("stale")
         assert dyn._load_kernel() is not None
         built = os.listdir(tmp_path / "oimsim")
         assert len(built) == 1 and built[0].startswith("_step-") and built[0].endswith(".so")
@@ -169,10 +173,62 @@ class TestDivergence:
         found = []
         for load in (dyn._load_kernel, lambda: None):
             monkeypatch.setattr(dyn, "_load_kernel", load)
-            with pytest.raises(NumericalDivergenceError) as ei:
-                dyn._integrate_batch([ok, bad], params, [3, 4, 5, 6])
-            found.append((ei.value.step, ei.value.seed, ei.value.problem))
-        assert found == [(12, 3, "bad")] * 2
+            for threads in (1, 2, 3):  # seed slices 3-6; 3-4, 5-6; 3, 4, 5-6
+                monkeypatch.setattr(dyn, "_usable_cpus", lambda: threads)
+                with pytest.raises(NumericalDivergenceError) as ei:
+                    dyn._integrate_batch([ok, bad], params, [3, 4, 5, 6])
+                found.append((ei.value.step, ei.value.seed, ei.value.problem))
+        assert found == [(12, 3, "bad")] * 6
+
+
+class TestSeedSlices:
+    """An integration splits its seeds into one slice per thread; the bits
+    must not depend on the split."""
+
+    @pytest.fixture
+    def slices(self, monkeypatch, tmp_path):
+        """Log (pid, threads) of every integration, also in pool workers."""
+        log, real = tmp_path / "threads.log", dyn.ThreadPoolExecutor
+
+        def logged(threads):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {threads}\n")
+            return real(threads)
+
+        monkeypatch.setattr(dyn, "ThreadPoolExecutor", logged)
+        return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+    @pytest.mark.parametrize("fused", [True, False])
+    @pytest.mark.parametrize("B", [1, 2, 3, 10])
+    def test_same_bits_at_any_budget(self, B, fused, monkeypatch, slices):
+        if fused:
+            kernel_or_skip()
+        else:
+            monkeypatch.setattr(dyn, "_load_kernel", lambda: None)
+        h = np.random.default_rng(4).uniform(-1.0, 1.0, 5)
+        mixed = [random_ising(3, Complete(), seed=7), group()[1],
+                 IsingProblem(5, random_ising(5, Complete(), seed=8).couplings, fields=h)]
+        seeds = list(range(11, 11 + B))
+        runs = []
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(dyn, "_usable_cpus", lambda: threads)
+            runs.append(dyn._integrate_batch(mixed, VARIANTS, seeds)[0].tobytes())
+        assert runs[1:] == runs[:1] * 2
+        assert [t for _, t in slices()] == [1, min(2, B), min(3, B)]
+
+    def test_pool_worker_gets_its_share(self, monkeypatch, slices):
+        # 6 CPUs over 2 workers: 3 threads for each unit's 10 seeds
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 6)
+        spec = BenchmarkSpec(problems=(("a", group()[0]),), params=VARIANTS[0], runs=20)
+        run_benchmark(spec, parallelism=2)
+        assert len(slices()) == 2
+        assert all(pid != os.getpid() and threads == 3 for pid, threads in slices())
+
+    def test_traced_run_uses_one_slice(self, monkeypatch, slices):
+        monkeypatch.setattr(dyn, "_usable_cpus", lambda: 4)
+        dyn._integrate_batch(group()[1], VARIANTS[0], [1, 2, 3], trace_points=5)
+        dyn._integrate_batch(group()[1], VARIANTS[0], [1, 2, 3])
+        assert [t for _, t in slices()] == [1, 3]
 
 
 @st.composite
@@ -201,15 +257,15 @@ def probes(draw):
         noise = (rng.normal(size=(B, (L + skip) * n)), base + skip * stride, stride,
                  draw(st.sampled_from([0.1, 10.0])))
     Phi = rng.uniform(-draw(st.sampled_from([TWO_PI, 100.0])), 2 * TWO_PI, (n, C))
-    return Phi, (adj, h_col, Kdt, ks_cols, ks_on, dt_dw, noise)
+    return Phi, (adj, h_col, Kdt, dt_dw, noise), (ks_cols, ks_on)
 
 
 @given(probes())
 @settings(max_examples=60, deadline=None)
 def test_kernel_equals_numpy_steps(probe):
     kernel = kernel_or_skip()
-    Phi, args = probe
+    Phi, args, block = probe
     ref, out = Phi.copy(), Phi.copy()
-    dyn._steps(ref, *args)
-    kernel(out, *args)
+    dyn._steps(ref, *args, *block)
+    kernel(out, *args)(*block)
     assert ref.tobytes() == out.tobytes()
