@@ -639,58 +639,57 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     draws = np.empty((B, chunk * n)) if gens else None  # reused by every block
     noise = (draws, *_noise_rows(sizes, chunk), params.noise_amp * math.sqrt(dt)) \
         if gens else None
-    # one thread per slice of seeds b0:b1, which owns its columns of every variant (as
-    # one C-ordered matrix), its generators and its rows of the draw buffer
-    T = 1 if trace_points else min(_threads or _usable_cpus(), B)
-    cols = lambda a, b0, b1: a.reshape(n, V, B)[:, :, b0:b1]  # noqa: E731
-    slices = []  # (b0, b1, phases, generators, advance)
-    for b0, b1 in ((B * t // T, B * (t + 1) // T) for t in range(T)):
-        phi = np.ascontiguousarray(cols(Phi, b0, b1)).reshape(n, -1)
-        dw_t = None if dt_dw is None else cols(dt_dw, b0, b1).reshape(n, -1)
-        slices.append((b0, b1, phi, [g for g in gens if b0 <= g[0] < b1], bind(
-            phi, adj, h_col, Kdt, dw_t, noise and (draws[b0:b1], *noise[1:]))))
-    gather = lambda: np.concatenate(  # noqa: E731
-        [phi.reshape(n, V, -1) for _, _, phi, *_ in slices], axis=2).reshape(n, -1)
-
-    def block(part, L, ks2dt, ks_on):  # draw a slice's noise, advance it; True if finite
-        b0, b1, phi, own, advance = part
-        for b, off, m, gen in own:
-            gen.standard_normal(out=draws[b, chunk * off:chunk * off + L * m])
-        advance(np.repeat(ks2dt.T, b1 - b0, axis=1), ks_on)
-        return np.isfinite(phi).all()
-
     # an energy trace samples (time, E, rounded H) at block ends: every
     # multiple of `every` steps (from 0 when trace_points > 1) and the end
     every = -(-total_steps // (trace_points - 1)) if trace_points > 1 else total_steps
     samples = []
-    done = 0
-    with ThreadPoolExecutor(T) as pool:  # starts no thread when T = 1
-        run = pool.map if T > 1 else map
+
+    def integrate(b0, b1):
+        """Run seeds b0:b1 to the end as one slice, which owns its columns of
+        every variant (as one C-ordered matrix), its generators and its rows of
+        the draw buffer. At the first block end with a non-finite phase, stop
+        and return (step, column of Phi, row) of the first one."""
+        phi, dw = (None if a is None else np.ascontiguousarray(
+            a.reshape(n, V, B)[:, :, b0:b1]).reshape(n, -1) for a in (Phi, dt_dw))
+        advance = bind(phi, adj, h_col, Kdt, dw, noise and (draws[b0:b1], *noise[1:]))
+        done = 0
         while True:
             if trace_points and (done == total_steps or trace_points > 1 and done % every == 0):
-                Phi = gather()
-                E = _lyapunov_cols(group[0], Phi, K_eff[0], float(params.ks_at(done * dt)))
+                E = _lyapunov_cols(group[0], phi, K_eff[0], float(params.ks_at(done * dt)))
                 samples.append((done * dt, E, [hamiltonian(group[0], s)
-                                               for s in round_phases(Phi).T]))
+                                               for s in round_phases(phi).T]))
             if done == total_steps:
                 break
             L = min(chunk, total_steps - done, every - done % every)
-            # 2*Ks*dt per (step, variant); a step with Ks = 0 everywhere skips it
+            for b, off, m, gen in gens[b0 * len(group):b1 * len(group)]:
+                gen.standard_normal(out=draws[b, chunk * off:chunk * off + L * m])
+            # 2*Ks*dt per (step, column); a step with Ks = 0 everywhere skips it
             t = (done + np.arange(L)) * dt
             ks2dt = 2.0 * dt * np.array([np.asarray(v.ks_at(t), dtype=np.float64)
                                          for v in variants])
-            ks_on = ks2dt.any(axis=0)
-            finite = list(run(lambda part: block(part, L, ks2dt, ks_on), slices))
+            advance(np.repeat(ks2dt.T, b1 - b0, axis=1), ks2dt.any(axis=0))
             done += L
-            if not all(finite):  # the first column in column order names the run
-                finite = np.isfinite(gather())
-                col = int(np.argmin(finite.all(axis=0)))
-                p = int(np.searchsorted(offsets, np.argmin(finite[:, col]), side="right")) - 1
-                raise NumericalDivergenceError(
-                    "non-finite phases", step=done, seed=seeds[col % B],
-                    problem=p if group[p].name is None else group[p].name)
+            finite = np.isfinite(phi)
+            if not finite.all():
+                j = int(np.argmin(finite.all(axis=0)))
+                v, b = divmod(j, b1 - b0)
+                return done, v * B + b0 + b, int(np.argmin(finite[:, j]))
+        Phi.reshape(n, V, B)[:, :, b0:b1] = phi.reshape(n, V, -1)
 
-    return gather(), tuple(np.array(x) for x in zip(*samples)) if trace_points else None
+    # one thread per slice (one when tracing), each free of the others, so a
+    # slow core delays only its own slice; the earliest block, then the first
+    # column in Phi, names a divergence whatever the split
+    T = 1 if trace_points else min(_threads or _usable_cpus(), B)
+    cuts = [B * t // T for t in range(T + 1)]
+    with ThreadPoolExecutor(T) as pool:  # starts no thread when T = 1
+        bad = [x for x in (pool.map if T > 1 else map)(integrate, cuts, cuts[1:]) if x]
+    if bad:
+        step, col, row = min(bad)
+        p = int(np.searchsorted(offsets, row, side="right")) - 1
+        raise NumericalDivergenceError(
+            "non-finite phases", step=step, seed=seeds[col % B],
+            problem=p if group[p].name is None else group[p].name)
+    return Phi, tuple(np.array(x) for x in zip(*samples)) if trace_points else None
 
 
 def _runs(problem, params, seeds, total_weight, polish,

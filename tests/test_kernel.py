@@ -180,6 +180,30 @@ class TestDivergence:
                 found.append((ei.value.step, ei.value.seed, ei.value.problem))
         assert found == [(12, 3, "bad")] * 6
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_earliest_block_wins_across_slices(self, fused, monkeypatch):
+        # noiseless, SYNC-driven overflow of 'bad': seed 3 diverges at step 3,
+        # seeds 4 and 5 at step 2, so at 2 and 3 threads a later slice names it
+        if fused:
+            kernel_or_skip()
+        else:
+            monkeypatch.setattr(dyn, "_load_kernel", lambda: None)
+        ok = IsingProblem(2, [(0, 1, 1.0)], name="ok")
+        bad = IsingProblem(2, [(0, 1, 1.5e308)], name="bad")
+        prm = DynamicsParams(K=1.0, noise_amp=0.0, cycles=4.0, steps_per_cycle=1,
+                             ks_schedule=KsSchedule.constant(5e307))
+        init = np.zeros((4, 3))
+        init[3] = [np.pi / 6, np.pi / 4, np.pi / 4]
+        monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", 12)  # one-step blocks
+        found = []
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(dyn, "_usable_cpus", lambda: threads)
+            with pytest.raises(NumericalDivergenceError) as ei:
+                dyn._integrate_batch([ok, bad], prm, [3, 4, 5], initial_phases=init)
+            found.append((ei.value.step, ei.value.seed, ei.value.problem))
+        assert found == [(2, 4, "bad")] * 3
+
 
 class TestSeedSlices:
     """An integration splits its seeds into one slice per thread; the bits
