@@ -7,7 +7,7 @@ units are fanned out over a process pool of at most one worker per unit.
 Specs that differ only in params, their DynamicsParams (an ablation's
 variants), share the plan: each unit integrates every variant as column
 blocks of one phase matrix, drawing each seed's initial phases and noise
-once; a worker splits a unit's seeds over cpus // workers threads. Units
+once; a worker runs a unit's seeds on up to cpus // workers threads. Units
 and seeding depend only on the spec, and every (problem, seed) run is
 bit-identical whether it executes singly, batched, packed, beside other
 variants, on any thread or in a pool, so results are identical for any

@@ -32,15 +32,12 @@ in its order. Its workspace has one row [cos phi_j | sin phi_j] per
 oscillator, so each coupling is one contiguous read that feeds both sums.
 Each block's draws go, seed by seed, into one reused seed-major buffer
 that holds each problem's (steps, spins) draws contiguously, and both
-paths read them from there. The seeds are split into one contiguous slice
-per thread (the usable CPUs, a pool worker's share of them, one when
-tracing); a slice draws and advances only its own seeds, and the kernel
-call and the draws release the GIL, so slices run side by side. The
-kernel is compiled once per machine (cc -O3 -ffp-contract=off) into
-$XDG_CACHE_HOME/oimsim or ~/.cache/oimsim (delete it to rebuild; a build
-removes older builds) and loaded with ctypes only if a self-check finds
-numpy's bits on a probe. Else the numpy loop integrates: silently without
-a compiler or writable cache, with a RuntimeWarning after a failed
+paths read them from there; seed slices run side by side on threads (see
+_integrate_batch). The kernel is compiled once per machine (cc -O3
+-ffp-contract=off) into $XDG_CACHE_HOME/oimsim or ~/.cache/oimsim (delete
+it to rebuild) and loaded with ctypes only if a self-check finds numpy's
+bits on a probe. Else the numpy loop integrates: silently without a
+compiler or writable cache, with a RuntimeWarning after a failed
 self-check. drift(), lyapunov() and step() always use numpy. Randomness
 is split into independent substreams of the run seed,
 Generator(PCG64(SeedSequence((seed, stream)))), with stream 0 = initial
@@ -98,6 +95,8 @@ _STREAM_NOISE = 2
 # noise is pregenerated in blocks for speed; numpy Generators produce the
 # same stream regardless of block shape, so this never changes results
 _MAX_NOISE_DOUBLES = 262_144  # 2 MB
+_MIN_SLICE = 256  # phases (spins x columns) per thread, at least: fewer gain nothing
+_threads = None  # thread budget per integration: a pool worker's share, else all CPUs
 
 
 @lru_cache(maxsize=1)
@@ -446,19 +445,15 @@ def _usable_cpus():
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-_threads = None  # threads per integration here, None for _usable_cpus()
-
-
-def _share_cpus(threads):  # bench's pool initializer
+def _share_cpus(threads):  # run_benchmark's pool initializer
     global _threads
     _threads = threads
 
 
 @lru_cache(maxsize=1)
 def _load_kernel():
-    """_steps compiled from _step.c as kernel(...)(ks_cols, ks_on), or None (see
-    the module docstring); the self-check turns all terms on and puts phases
-    beyond [-2*pi, 4*pi)."""
+    """_steps compiled from _step.c, or None (see the module docstring); the
+    self-check turns every term on and puts phases beyond [-2*pi, 4*pi)."""
     src = resources.files("oimsim").joinpath("_step.c").read_bytes()
     flags = ["-O3", "-ffp-contract=off", "-fPIC", "-shared"]
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "oimsim"
@@ -470,8 +465,6 @@ def _load_kernel():
                 subprocess.run(["cc", *flags, "-x", "c", "-", "-o", f"{tmp}/k.so", "-lm"],
                                input=src, capture_output=True, check=True, timeout=300)
                 os.replace(f"{tmp}/k.so", lib)
-            for stale in set(cache.glob("_step-*.so")) - {lib}:  # older sources or flags
-                stale.unlink(missing_ok=True)
         fn = ctypes.CDLL(str(lib)).oim_steps
     except (OSError, subprocess.SubprocessError):  # also: no cc on PATH
         return None
@@ -479,30 +472,28 @@ def _load_kernel():
     fn.restype = None
 
     def kernel(Phi, adj, h_col, Kdt, dt_dw, noise):
-        """advance(ks_cols, ks_on), doing _steps on Phi; the rest made kernel-ready once."""
+        """advance(ks_cols, ks_on): _steps on these arguments, cast once."""
         n, C = Phi.shape
         z, base, stride, scale = noise or (None, None, None, 0.0)
-        B = C if z is None else len(z)
+        B, zs = (C, 0) if z is None else z.shape
         cast = lambda a, shape, dtype=np.float64: None if a is None else (  # noqa: E731
             np.ascontiguousarray(np.broadcast_to(a, shape), dtype=dtype))
-        base, stride = cast(base, n, np.int64), cast(stride, n, np.int64)
-        zs = 0 if z is None else z.shape[1]
-        if any(a is not None and (a.dtype != np.float64 or not a.flags.c_contiguous)
-               for a in (Phi, z)) or C % B or z is not None and base.min() < 0:
-            raise ValueError("the step kernel needs C-ordered float64 phases and draws")
         keep = [Phi, cast(adj.indptr, n + 1, np.int64), cast(adj.indices, adj.nnz, np.int64),
                 cast(adj.data, adj.nnz), cast(h_col, (n, 1)), cast(Kdt, (n, 1)),
-                cast(dt_dw, (n, C)), z, base, stride, np.empty((n + 1, 2 * C))]
-        ptrs = [a if a is None else a.ctypes.data for a in keep]
+                cast(dt_dw, (n, C)), z, cast(base, n, np.int64), cast(stride, n, np.int64),
+                np.empty((n + 1, 2 * C))]
+        if any(a is not None and (a.dtype != np.float64 or not a.flags.c_contiguous)
+               for a in (Phi, z)) or C % B:
+            raise ValueError("the step kernel needs C-ordered float64 phases and draws")
+        ptrs = [a if a is None else a.ctypes.data for a in keep]  # advance holds keep
 
         def advance(ks_cols, ks_on):
-            ks = np.ascontiguousarray(ks_cols, np.float64)
-            on = np.ascontiguousarray(ks_on, np.uint8)
-            L = len(on)
-            if ks.shape != (L, C) or z is not None and (base + (L - 1) * stride).max() >= zs:
+            ks, on = np.ascontiguousarray(ks_cols, float), np.ascontiguousarray(ks_on, np.uint8)
+            L, (base, stride) = len(on), keep[8:10]
+            if ks.shape != (L, C) or z is not None and not (
+                    0 <= base.min() <= (base + (L - 1) * stride).max() < zs):
                 raise ValueError("the step kernel needs (L, C) Ks values, draws in range")
             fn(n, C, B, L, zs, scale, *ptrs[:6], ks.ctypes.data, on.ctypes.data, *ptrs[6:])
-        advance.buffers = keep  # what ptrs point into lives as long as advance
         return advance
 
     # 2C = 30 runs the 8-, 4- and 2-wide tiles; rows 0-3, 4-8: two packed problems
@@ -510,12 +501,12 @@ def _load_kernel():
     args = (sp.csr_matrix(rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.4)),
             rng.normal(size=(9, 1)), rng.uniform(0.0, 0.1, (9, 1)),
             rng.normal(0.0, 0.1, (9, 15)),
-            (rng.normal(size=(5, 36)), *_noise_rows([4, 5], 4), 10.0))
-    block = (rng.uniform(0.0, 0.1, (4, 15)) * (np.arange(15) > 0), np.arange(4) != 1)
+            (rng.normal(size=(5, 36)), *_noise_rows([4, 5], 4), 10.0),
+            rng.uniform(0.0, 0.1, (4, 15)) * (np.arange(15) > 0), np.arange(4) != 1)
     ref = rng.uniform(-50.0, 50.0, (9, 15))
     out = ref.copy()
-    _steps(ref, *args, *block)
-    kernel(out, *args)(*block)
+    _steps(ref, *args)
+    kernel(out, *args[:5])(*args[5:])
     if ref.tobytes() != out.tobytes():
         warnings.warn("the compiled step kernel gives other bits than numpy here; "
                       "integrating with numpy", RuntimeWarning)
@@ -633,7 +624,7 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     adj = sp.block_diag([p.adjacency for p in group], format="csr")
     K_eff = [params.effective_K(p) for p in group]
     Kdt = np.repeat(np.multiply(K_eff, dt), sizes).reshape(-1, 1)
-    bind = _load_kernel() or partial(partial, _steps)  # numpy: _steps, arguments bound
+    bind = _load_kernel() or (lambda *args: partial(_steps, *args))  # numpy, alike
 
     chunk = max(1, min(256, _MAX_NOISE_DOUBLES // max(1, n * B)))
     draws = np.empty((B, chunk * n)) if gens else None  # reused by every block
@@ -642,18 +633,15 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     # an energy trace samples (time, E, rounded H) at block ends: every
     # multiple of `every` steps (from 0 when trace_points > 1) and the end
     every = -(-total_steps // (trace_points - 1)) if trace_points > 1 else total_steps
-    samples = []
+    samples, bad = [], []  # bad: (step, variant, seed index, row) of each divergence
 
     def integrate(b0, b1):
-        """Run seeds b0:b1 to the end as one slice, which owns its columns of
-        every variant (as one C-ordered matrix), its generators and its rows of
-        the draw buffer. At the first block end with a non-finite phase, stop
-        and return (step, column of Phi, row) of the first one."""
-        phi, dw = (None if a is None else np.ascontiguousarray(
+        """Run seeds b0:b1 to the end or to a block end where any slice diverged."""
+        phi, dw = (None if a is None else np.ascontiguousarray(  # every variant's columns
             a.reshape(n, V, B)[:, :, b0:b1]).reshape(n, -1) for a in (Phi, dt_dw))
         advance = bind(phi, adj, h_col, Kdt, dw, noise and (draws[b0:b1], *noise[1:]))
         done = 0
-        while True:
+        while not (bad and done >= min(bad)[0]):
             if trace_points and (done == total_steps or trace_points > 1 and done % every == 0):
                 E = _lyapunov_cols(group[0], phi, K_eff[0], float(params.ks_at(done * dt)))
                 samples.append((done * dt, E, [hamiltonian(group[0], s)
@@ -669,25 +657,23 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
                                          for v in variants])
             advance(np.repeat(ks2dt.T, b1 - b0, axis=1), ks2dt.any(axis=0))
             done += L
-            finite = np.isfinite(phi)
-            if not finite.all():
-                j = int(np.argmin(finite.all(axis=0)))
-                v, b = divmod(j, b1 - b0)
-                return done, v * B + b0 + b, int(np.argmin(finite[:, j]))
+            finite = np.isfinite(phi).reshape(n, V, -1)
+            if not finite.all():  # the first diverged (variant, seed), then its first row
+                v, b = np.unravel_index(np.argmin(finite.all(axis=0)), finite.shape[1:])
+                bad.append((done, v, b0 + b, int(np.argmin(finite[:, v, b]))))
         Phi.reshape(n, V, B)[:, :, b0:b1] = phi.reshape(n, V, -1)
 
-    # one thread per slice (one when tracing), each free of the others, so a
-    # slow core delays only its own slice; the earliest block, then the first
-    # column in Phi, names a divergence whatever the split
-    T = 1 if trace_points else min(_threads or _usable_cpus(), B)
+    # free-running slices, so a slow core delays only its own; the earliest
+    # block, then the first column of Phi, names a divergence at any split
+    T = 1 if trace_points else max(1, min(_threads or _usable_cpus(), B, n * V * B // _MIN_SLICE))
     cuts = [B * t // T for t in range(T + 1)]
     with ThreadPoolExecutor(T) as pool:  # starts no thread when T = 1
-        bad = [x for x in (pool.map if T > 1 else map)(integrate, cuts, cuts[1:]) if x]
+        list((pool.map if T > 1 else map)(integrate, cuts, cuts[1:]))
     if bad:
-        step, col, row = min(bad)
+        step, _, b, row = min(bad)
         p = int(np.searchsorted(offsets, row, side="right")) - 1
         raise NumericalDivergenceError(
-            "non-finite phases", step=step, seed=seeds[col % B],
+            "non-finite phases", step=step, seed=seeds[b],
             problem=p if group[p].name is None else group[p].name)
     return Phi, tuple(np.array(x) for x in zip(*samples)) if trace_points else None
 

@@ -132,10 +132,12 @@ class TestThreadBudgets:
     @pytest.fixture(autouse=True, params=[(1, "kernel"), (2, "kernel"), (1, "numpy"),
                                           (2, "numpy")], ids=lambda p: f"{p[1]}-{p[0]}")
     def budget(self, request, monkeypatch):
-        # in-process integrations split their seeds over this many threads;
-        # pool workers keep their share of the real CPUs
+        # in-process integrations split their seeds over this many threads,
+        # however few phases each slice gets; pool workers keep their share
+        # of the real CPUs
         threads, path = request.param
         monkeypatch.setattr(dyn, "_usable_cpus", lambda: threads)
+        monkeypatch.setattr(dyn, "_MIN_SLICE", 1)
         if path == "numpy":
             monkeypatch.setattr(dyn, "_load_kernel", lambda: None)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import oimsim.bench as bench
 import oimsim.dynamics as dyn
-from oimsim import (BenchmarkSpec, Complete, DynamicsParams, IsingProblem, KsSchedule,
+from oimsim import (BenchmarkSpec, Complete, DynamicsParams, IsingProblem, KsSchedule, Torus,
                     NumericalDivergenceError, random_ising, run_benchmark)
 
 TWO_PI = 2.0 * np.pi
@@ -98,9 +98,6 @@ class TestFallback:
         kernel_or_skip()
         dyn._load_kernel.cache_clear()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        # a build of another source: a successful build removes it
-        (tmp_path / "oimsim").mkdir()
-        (tmp_path / "oimsim" / "_step-0123456789abcdef.so").write_text("stale")
         assert dyn._load_kernel() is not None
         built = os.listdir(tmp_path / "oimsim")
         assert len(built) == 1 and built[0].startswith("_step-") and built[0].endswith(".so")
@@ -157,6 +154,27 @@ def test_tracing_does_not_change_phases(fused, monkeypatch):
     assert plain.tobytes() == traced.tobytes()
 
 
+@pytest.fixture
+def split_small(monkeypatch):
+    """Split even these few-spin integrations into one slice per thread."""
+    monkeypatch.setattr(dyn, "_MIN_SLICE", 1)
+
+
+@pytest.fixture
+def slices(monkeypatch, tmp_path):
+    """Log (pid, threads) of every integration, also in pool workers."""
+    log, real = tmp_path / "threads.log", dyn.ThreadPoolExecutor
+
+    def logged(threads):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {threads}\n")
+        return real(threads)
+
+    monkeypatch.setattr(dyn, "ThreadPoolExecutor", logged)
+    return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+@pytest.mark.usefixtures("split_small")
 class TestDivergence:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("fused", [False, True])
@@ -204,24 +222,30 @@ class TestDivergence:
             found.append((ei.value.step, ei.value.seed, ei.value.problem))
         assert found == [(2, 4, "bad")] * 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_stops_every_slice(self, monkeypatch):
+        # one-step blocks over 4,000 steps: 'bad' diverges at step 2 in the
+        # second slice, and the first stops soon after instead of at the end
+        monkeypatch.setattr(dyn, "_load_kernel", lambda: None)
+        calls, real = [], dyn._steps
+        monkeypatch.setattr(dyn, "_steps", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(dyn, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", 8)
+        bad = IsingProblem(2, [(0, 1, 1.5e308)], name="bad")
+        prm = DynamicsParams(K=1.0, noise_amp=0.0, cycles=4000.0, steps_per_cycle=1,
+                             ks_schedule=KsSchedule.constant(5e307))
+        init = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, np.pi / 4, 0.0]])
+        with pytest.raises(NumericalDivergenceError) as ei:
+            dyn._integrate_batch(bad, prm, [3, 4, 5, 6], initial_phases=init)
+        assert (ei.value.step, ei.value.seed) == (2, 5)
+        assert len(calls) < 2000  # 4,000 per slice if the first ran to the end
+
 
 class TestSeedSlices:
     """An integration splits its seeds into one slice per thread; the bits
     must not depend on the split."""
 
-    @pytest.fixture
-    def slices(self, monkeypatch, tmp_path):
-        """Log (pid, threads) of every integration, also in pool workers."""
-        log, real = tmp_path / "threads.log", dyn.ThreadPoolExecutor
-
-        def logged(threads):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {threads}\n")
-            return real(threads)
-
-        monkeypatch.setattr(dyn, "ThreadPoolExecutor", logged)
-        return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
-
+    @pytest.mark.usefixtures("split_small")
     @pytest.mark.parametrize("fused", [True, False])
     @pytest.mark.parametrize("B", [1, 2, 3, 10])
     def test_same_bits_at_any_budget(self, B, fused, monkeypatch, slices):
@@ -240,6 +264,7 @@ class TestSeedSlices:
         assert runs[1:] == runs[:1] * 2
         assert [t for _, t in slices()] == [1, min(2, B), min(3, B)]
 
+    @pytest.mark.usefixtures("split_small")
     def test_pool_worker_gets_its_share(self, monkeypatch, slices):
         # 6 CPUs over 2 workers: 3 threads for each unit's 10 seeds
         monkeypatch.setattr(bench, "_usable_cpus", lambda: 6)
@@ -248,11 +273,26 @@ class TestSeedSlices:
         assert len(slices()) == 2
         assert all(pid != os.getpid() and threads == 3 for pid, threads in slices())
 
+    @pytest.mark.usefixtures("split_small")
     def test_traced_run_uses_one_slice(self, monkeypatch, slices):
         monkeypatch.setattr(dyn, "_usable_cpus", lambda: 4)
         dyn._integrate_batch(group()[1], VARIANTS[0], [1, 2, 3], trace_points=5)
         dyn._integrate_batch(group()[1], VARIANTS[0], [1, 2, 3])
         assert [t for _, t in slices()] == [1, 3]
+
+    def test_small_integrations_keep_one_thread(self, monkeypatch, slices):
+        # each thread needs _MIN_SLICE = 256 phases: 100 spins x 2 seeds
+        # stay on one, x 6 seeds (600 phases) split in two, x 3 variants of
+        # 2 seeds too, and 800 spins x 10 seeds take all 4 threads
+        assert dyn._MIN_SLICE == 256
+        monkeypatch.setattr(dyn, "_usable_cpus", lambda: 4)
+        prm = dataclasses.replace(VARIANTS[0], cycles=0.1)
+        torus = random_ising(100, Torus(10, 10), seed=1)
+        dyn._integrate_batch(torus, prm, [1, 2])
+        dyn._integrate_batch(torus, prm, list(range(6)))
+        dyn._integrate_batch(torus, (prm, prm.without_sync(), prm), [1, 2])
+        dyn._integrate_batch(random_ising(800, Torus(20, 40), seed=1), prm, list(range(10)))
+        assert [t for _, t in slices()] == [1, 2, 2, 4]
 
 
 @st.composite
