@@ -7,6 +7,7 @@ over _advance is the reference. Every test here asks for equal bits.
 import dataclasses
 import os
 import shutil
+import sys
 import warnings
 
 import numpy as np
@@ -98,14 +99,18 @@ class TestFallback:
         kernel_or_skip()
         dyn._load_kernel.cache_clear()
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        # another checkout's build, of another source: a build leaves it alone
+        (tmp_path / "oimsim").mkdir()
+        (tmp_path / "oimsim" / "_step-0123456789abcdef.so").write_text("other")
         assert dyn._load_kernel() is not None
-        built = os.listdir(tmp_path / "oimsim")
-        assert len(built) == 1 and built[0].startswith("_step-") and built[0].endswith(".so")
+        before = sorted(os.listdir(tmp_path / "oimsim"))
+        assert len(before) == 2 and "_step-0123456789abcdef.so" in before
+        assert all(f.startswith("_step-") and f.endswith(".so") for f in before)
         # a warm cache loads without a compiler
         dyn._load_kernel.cache_clear()
         monkeypatch.setattr(dyn.subprocess, "run", None)
         assert dyn._load_kernel() is not None
-        assert os.listdir(tmp_path / "oimsim") == built
+        assert sorted(os.listdir(tmp_path / "oimsim")) == before
 
     def test_pool_builds_once(self, fresh_loader, monkeypatch, tmp_path):
         # a cold cache and two workers: the compiler starts once, before the
@@ -239,6 +244,27 @@ class TestDivergence:
             dyn._integrate_batch(bad, prm, [3, 4, 5, 6], initial_phases=init)
         assert (ei.value.step, ei.value.seed) == (2, 5)
         assert len(calls) < 2000  # 4,000 per slice if the first ran to the end
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_many_slices_switching_often(self, monkeypatch):
+        # 12 one-seed slices on fewer cores, the interpreter switching threads
+        # every microsecond: seed 9 (step 2) still wins over seed 4 (step 3)
+        monkeypatch.setattr(dyn, "_usable_cpus", lambda: 12)
+        monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", 24)  # one-step blocks
+        bad = IsingProblem(2, [(0, 1, 1.5e308)], name="bad")
+        prm = DynamicsParams(K=1.0, noise_amp=0.0, cycles=200.0, steps_per_cycle=1,
+                             ks_schedule=KsSchedule.constant(5e307))
+        init = np.zeros((2, 12))
+        init[1, [4, 9]] = [np.pi / 6, np.pi / 4]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                with pytest.raises(NumericalDivergenceError) as ei:
+                    dyn._integrate_batch(bad, prm, list(range(12)), initial_phases=init)
+                assert (ei.value.step, ei.value.seed) == (2, 9)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSeedSlices:
