@@ -3,17 +3,17 @@
 A planner splits a spec into work units: a group of consecutive problems
 of at most 256 spins in total (a larger problem alone), with a chunk of up
 to 10 seeds. A group is integrated as one block-diagonal system, and the
-units are fanned out over a process pool of at most one worker per unit.
+units run on a pool of at most one thread per unit, in this process.
 Specs that differ only in params, their DynamicsParams (an ablation's
 variants), share the plan: each unit integrates every variant as column
 blocks of one phase matrix, drawing each seed's initial phases and noise
-once; a worker runs a unit's seeds on up to cpus // workers threads. Units
-and seeding depend only on the spec, and every (problem, seed) run is
-bit-identical whether it executes singly, batched, packed, beside other
-variants, on any thread or in a pool, so results are identical for any
-parallelism degree and rerunning a spec reproduces every per-run record.
-A run's secs is its unit's wall time split evenly among all the unit's
-runs, of every variant.
+once; a unit thread splits its unit's seeds over up to cpus // threads
+threads of its own. Units and seeding depend only on the spec, and every
+(problem, seed) run is bit-identical whether it executes singly, batched,
+packed, beside other variants or on any thread, so results are identical
+for any parallelism degree and rerunning a spec reproduces every per-run
+record. A run's secs is its unit's wall time split evenly among all the
+unit's runs, of every variant.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 import statistics
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -166,11 +166,6 @@ def _plan(spec):
     return [(tuple(group), chunk) for group in groups for chunk in chunks]
 
 
-def _run_unit(args):
-    problems, variants, seeds, total_weights = args
-    return run_seeds(problems, variants, seeds, total_weight=total_weights)
-
-
 def _success_count(spec, name, problem, records):
     oracle = spec.oracle
     if oracle is None:
@@ -225,18 +220,17 @@ def run_benchmark(spec, parallelism=1):
     t0 = time.perf_counter()
     base = specs[0]
     units = _plan(base)
-    tasks = [(tuple(base.problems[k][1] for k in group), variants, chunk,
-              tuple(base.problems[k][2] for k in group))
-             for group, chunk in units]
 
-    workers = min(parallelism, len(tasks))
-    if workers <= 1:
-        outputs = [_run_unit(t) for t in tasks]
-    else:
-        _load_kernel()  # forked workers inherit it: one build and self-check
-        with ProcessPoolExecutor(max_workers=workers, initializer=_share_cpus,
-                                 initargs=(max(1, cpus // workers),)) as pool:
-            outputs = list(pool.map(_run_unit, tasks))
+    def run_unit(unit):
+        group, chunk = unit
+        return run_seeds(tuple(base.problems[k][1] for k in group), variants, chunk,
+                         total_weight=tuple(base.problems[k][2] for k in group))
+
+    workers = max(1, min(parallelism, len(units)))
+    _load_kernel()  # lru_cache is no lock: one build and self-check for all threads
+    with ThreadPoolExecutor(workers, initializer=_share_cpus,
+                            initargs=(max(1, cpus // workers),)) as pool:
+        outputs = list((pool.map if workers > 1 else map)(run_unit, units))
 
     # units run a group's chunks in seed order; each output is variant-major,
     # then problem-major, then by seed

@@ -17,7 +17,7 @@ import sys
 from .bench import BenchmarkSpec, export, run_benchmark, write_export
 from .dynamics import DEFAULTS, DynamicsParams, KsSchedule, _usable_cpus, simulate
 from .errors import (CapacityError, NumericalDivergenceError, OimError,
-                     ParseError, SpecificationError)
+                     ParseError, SpecificationError, _integer)
 from .generators import Complete, Torus, random_ising
 from .io import (default_catalog, load_catalog, load_gset, load_ising_json,
                  parse_gset, write_gset, write_ising_json)
@@ -83,14 +83,12 @@ def _params_from_args(args):
 
 def _threads(args):
     if args.threads is not None:
-        return args.threads
+        return _integer(args.threads, "--threads", 1)
     env = os.environ.get("OIM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SpecificationError(f"OIM_THREADS must be an integer, got {env!r}") from None
-    return _usable_cpus()
+    try:
+        return _integer(int(env), "OIM_THREADS", 1) if env else _usable_cpus()
+    except ValueError:
+        raise SpecificationError(f"OIM_THREADS must be an integer >= 1, got {env!r}") from None
 
 
 def _infer_format(path, fmt):
@@ -271,7 +269,7 @@ def build_parser():
     _add_dynamics_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: OIM_THREADS or all cores)")
+                   help="work-unit threads (default: OIM_THREADS or all cores)")
     p.add_argument("--out", default=None, help="result file (default: stdout)")
     p.add_argument("--out-format", choices=["csv", "json"], default="json")
     p.add_argument("--trace", default=None,

@@ -54,6 +54,7 @@ import math
 import os
 import subprocess
 import tempfile
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -96,7 +97,7 @@ _STREAM_NOISE = 2
 # same stream regardless of block shape, so this never changes results
 _MAX_NOISE_DOUBLES = 262_144  # 2 MB
 _MIN_SLICE = 256  # phases (spins x columns) per thread, at least: fewer gain nothing
-_threads = None  # thread budget per integration: a pool worker's share, else all CPUs
+_budget = threading.local()  # .threads: a unit thread's share of the CPUs (else all)
 
 
 @lru_cache(maxsize=1)
@@ -445,9 +446,8 @@ def _usable_cpus():
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _share_cpus(threads):  # run_benchmark's pool initializer
-    global _threads
-    _threads = threads
+def _share_cpus(threads):  # run_benchmark's unit-thread initializer
+    _budget.threads = threads
 
 
 @lru_cache(maxsize=1)
@@ -665,7 +665,8 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
 
     # free-running slices, so a slow core delays only its own; the earliest
     # block, then the first column of Phi, names a divergence at any split
-    T = 1 if trace_points else max(1, min(_threads or _usable_cpus(), B, n * V * B // _MIN_SLICE))
+    threads = getattr(_budget, "threads", None) or _usable_cpus()
+    T = 1 if trace_points else max(1, min(threads, B, n * V * B // _MIN_SLICE))
     cuts = [B * t // T for t in range(T + 1)]
     with ThreadPoolExecutor(T) as pool:  # starts no thread when T = 1
         list((pool.map if T > 1 else map)(integrate, cuts, cuts[1:]))

@@ -2,10 +2,13 @@
 
 import dataclasses
 import json
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import oimsim.bench as bench
 from oimsim import (BenchmarkSpec, Complete, DynamicsParams, IsingProblem,
                     KsSchedule, SpecificationError, WeightedGraph,
                     ablation_compare, default_catalog, export, hamiltonian,
@@ -15,6 +18,28 @@ from oimsim import (BenchmarkSpec, Complete, DynamicsParams, IsingProblem,
 
 def quick_params(cycles=20.0):
     return DynamicsParams(cycles=cycles)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Stand in for the unit pool: run units inline, record each pool's size."""
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers, **pool_args):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(bench, "ThreadPoolExecutor", Recorder)
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -99,31 +124,13 @@ class TestPlanner:
         chunks = [list(range(10)), [10, 11]]
         assert _plan(spec) == [(g, c) for g in groups for c in chunks]
 
-    def test_pool_is_capped_at_unit_count(self, monkeypatch):
-        import oimsim.bench as bench
-
-        class Recorder:
-            max_workers = []
-
-            def __init__(self, max_workers, **pool_args):
-                Recorder.max_workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
+    def test_pool_is_capped_at_unit_count(self, pool_sizes):
         problems = tuple((f"p{k}", random_ising(n, Complete(), seed=k))
                          for k, n in enumerate([10] * 20 + [250]))
         spec = BenchmarkSpec(problems=problems, params=quick_params(2.0), runs=3)
         serial = run_benchmark(spec)
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", Recorder)
         pooled = run_benchmark(spec, parallelism=64)
-        assert Recorder.max_workers == [2]
+        assert pool_sizes == [1, 2]
         assert [[r.H for r in s.records] for s in serial.problems] == \
                [[r.H for r in s.records] for s in pooled.problems]
 
@@ -137,6 +144,44 @@ class TestPlanner:
         with pytest.raises(NumericalDivergenceError) as ei:
             run_benchmark(spec, parallelism=2)
         assert (ei.value.seed, ei.value.problem) == (7, "bad")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_many_unit_threads_switching_often(self):
+        # 12 units on 8 threads, more than the cores, the interpreter
+        # switching threads every microsecond: every record and best spin
+        # vector equals the serial run's
+        problems = tuple((f"p{k}", random_ising(n, Complete(), seed=k))
+                         for k, n in enumerate([30, 30, 200, 250, 40]))
+        spec = BenchmarkSpec(problems=problems, params=quick_params(2.0), runs=25)
+        serial = run_benchmark(spec)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_benchmark(spec, parallelism=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert rows(threaded) == rows(serial)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failing_unit_cancels_queued_units(self, monkeypatch):
+        # eight 10-seed units on 2 threads; the first unit raises at once, and
+        # each thread starts at most one more before the queued ones are
+        # cancelled
+        from oimsim import NumericalDivergenceError
+        started = []
+
+        def run_seeds(problems, variants, seeds, **kw):
+            if seeds[0] == 0:
+                raise NumericalDivergenceError("non-finite phases", seed=0)
+            started.append(seeds[0])
+            time.sleep(0.3)
+
+        monkeypatch.setattr(bench, "run_seeds", run_seeds)
+        spec = BenchmarkSpec(problems=(("x", IsingProblem(2, [(0, 1, 1.0)])),),
+                             params=quick_params(), runs=80)
+        with pytest.raises(NumericalDivergenceError):
+            run_benchmark(spec, parallelism=2)
+        assert len(started) <= 2
 
 
 class TestHistogram:
@@ -245,24 +290,6 @@ class TestExport:
             export(ferro_summary, "xml")
 
 
-class Recorder:
-    """Stands in for ProcessPoolExecutor: records the pool size, runs inline."""
-
-    max_workers = []
-
-    def __init__(self, max_workers, **pool_args):
-        Recorder.max_workers.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-
 def variant_specs(problems, runs=12, **kw):
     prm = DynamicsParams(cycles=3.0, steps_per_cycle=50,
                          ks_schedule=KsSchedule.ramp(0.0, 1.5, 1.0),
@@ -315,7 +342,6 @@ class TestSpecVariants:
             run_benchmark([])
 
     def test_one_unit_carries_all_variants(self, monkeypatch):
-        import oimsim.bench as bench
         calls = []
         real = bench.run_seeds
 
@@ -341,18 +367,15 @@ class TestTiming:
         assert timing["wall_secs"] == summaries[0].wall_secs
         assert timing["total_secs"] == summaries[0].total_secs
 
-    def test_warns_above_cpu_count(self, monkeypatch):
+    def test_warns_above_cpu_count(self, monkeypatch, pool_sizes):
         import warnings
-        import oimsim.bench as bench
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)
         problems = tuple((f"p{k}", random_ising(250, Complete(), seed=k))
                          for k in range(2))
         spec = BenchmarkSpec(problems=problems, params=quick_params(1.0), runs=2)
-        Recorder.max_workers = []
         with pytest.warns(RuntimeWarning, match="parallelism 2 exceeds"):
             run_benchmark(spec, parallelism=2)
-        assert Recorder.max_workers == [2]
+        assert pool_sizes == [2]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run_benchmark(spec, parallelism=1)

@@ -95,6 +95,17 @@ class TestSolve:
     def test_bad_ramp_is_usage_error(self, ferro_json):
         assert run(["solve", "--input", ferro_json, "--ks-ramp", "exp:1:2"]) == 2
 
+    @pytest.mark.parametrize("flags, env", [(["--threads", "0"], None), ([], "0"),
+                                            ([], "-3"), ([], "x")])
+    def test_bad_thread_count_is_usage_error(self, ferro_json, monkeypatch, capsys,
+                                             flags, env):
+        if env is None:
+            monkeypatch.delenv("OIM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OIM_THREADS", env)
+        assert run(["solve", "--input", ferro_json, "--cycles", "5", *flags]) == 2
+        assert ("--threads" if flags else "OIM_THREADS") in capsys.readouterr().err
+
     def test_unknown_flag_rejected(self, ferro_json):
         assert run(["solve", "--input", ferro_json, "--frobnicate"]) == 2
 

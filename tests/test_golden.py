@@ -1,7 +1,7 @@
 """Golden hashes of per-seed results: the integrator's numerics are frozen.
 
 Each case hashes every run's (seed, final spins, final H) in order. Running
-singly, batched, packed with other problems, or across a process pool must
+singly, batched, packed with other problems, or on several unit threads must
 not change a single bit. A change that alters the numerics on purpose
 updates these hashes and says so in CHANGES.md.
 
@@ -118,7 +118,7 @@ def test_ablation_golden(parallelism):
 class TestNumpyPath:
     @pytest.fixture(autouse=True)
     def numpy_integrator(self, monkeypatch):
-        # pool workers are forked from this process, so they see it too
+        # run_benchmark's unit threads integrate through this module too
         monkeypatch.setattr(dyn, "_load_kernel", lambda: None)
 
     test_simulate_golden = staticmethod(test_simulate_golden)
@@ -132,9 +132,10 @@ class TestThreadBudgets:
     @pytest.fixture(autouse=True, params=[(1, "kernel"), (2, "kernel"), (1, "numpy"),
                                           (2, "numpy")], ids=lambda p: f"{p[1]}-{p[0]}")
     def budget(self, request, monkeypatch):
-        # in-process integrations split their seeds over this many threads,
-        # however few phases each slice gets; pool workers keep their share
-        # of the real CPUs
+        # integrations on this thread (run_benchmark's too, at parallelism 1)
+        # split their seeds over this many threads, however few phases each
+        # slice gets; at parallelism 2 the unit threads keep their share of
+        # the real CPUs
         threads, path = request.param
         monkeypatch.setattr(dyn, "_usable_cpus", lambda: threads)
         monkeypatch.setattr(dyn, "_MIN_SLICE", 1)

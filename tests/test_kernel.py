@@ -113,9 +113,9 @@ class TestFallback:
         assert sorted(os.listdir(tmp_path / "oimsim")) == before
 
     def test_pool_builds_once(self, fresh_loader, monkeypatch, tmp_path):
-        # a cold cache and two workers: the compiler starts once, before the
-        # fork; a shim logs each start and waits, so workers that built on
-        # their own would overlap and both build
+        # a cold cache and two unit threads: the compiler starts once, before
+        # the threads; a shim logs each start and waits, so threads that built
+        # on their own would overlap and both build
         kernel_or_skip()
         dyn._load_kernel.cache_clear()
         log, shim = tmp_path / "cc.log", tmp_path / "bin" / "cc"
@@ -166,17 +166,16 @@ def split_small(monkeypatch):
 
 
 @pytest.fixture
-def slices(monkeypatch, tmp_path):
-    """Log (pid, threads) of every integration, also in pool workers."""
-    log, real = tmp_path / "threads.log", dyn.ThreadPoolExecutor
+def slices(monkeypatch):
+    """(pid, threads) of every integration, in the order they start."""
+    log, real = [], dyn.ThreadPoolExecutor
 
     def logged(threads):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {threads}\n")
+        log.append((os.getpid(), threads))
         return real(threads)
 
     monkeypatch.setattr(dyn, "ThreadPoolExecutor", logged)
-    return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    return log
 
 
 @pytest.mark.usefixtures("split_small")
@@ -288,23 +287,34 @@ class TestSeedSlices:
             monkeypatch.setattr(dyn, "_usable_cpus", lambda: threads)
             runs.append(dyn._integrate_batch(mixed, VARIANTS, seeds)[0].tobytes())
         assert runs[1:] == runs[:1] * 2
-        assert [t for _, t in slices()] == [1, min(2, B), min(3, B)]
+        assert [t for _, t in slices] == [1, min(2, B), min(3, B)]
 
     @pytest.mark.usefixtures("split_small")
     def test_pool_worker_gets_its_share(self, monkeypatch, slices):
-        # 6 CPUs over 2 workers: 3 threads for each unit's 10 seeds
+        # 6 CPUs over 2 unit threads, in this process: 3 slices for each
+        # unit's 10 seeds
         monkeypatch.setattr(bench, "_usable_cpus", lambda: 6)
         spec = BenchmarkSpec(problems=(("a", group()[0]),), params=VARIANTS[0], runs=20)
         run_benchmark(spec, parallelism=2)
-        assert len(slices()) == 2
-        assert all(pid != os.getpid() and threads == 3 for pid, threads in slices())
+        assert slices == [(os.getpid(), 3)] * 2
+
+    @pytest.mark.usefixtures("split_small")
+    def test_share_stays_in_the_unit_threads(self, monkeypatch, slices):
+        # after a pooled run, this thread's integrations split over every
+        # usable CPU again, not over a unit thread's share
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 6)
+        monkeypatch.setattr(dyn, "_usable_cpus", lambda: 4)
+        spec = BenchmarkSpec(problems=(("a", group()[0]),), params=VARIANTS[0], runs=20)
+        run_benchmark(spec, parallelism=2)
+        dyn._integrate_batch(group()[1], VARIANTS[0], [1, 2, 3, 4])
+        assert [t for _, t in slices] == [3, 3, 4]
 
     @pytest.mark.usefixtures("split_small")
     def test_traced_run_uses_one_slice(self, monkeypatch, slices):
         monkeypatch.setattr(dyn, "_usable_cpus", lambda: 4)
         dyn._integrate_batch(group()[1], VARIANTS[0], [1, 2, 3], trace_points=5)
         dyn._integrate_batch(group()[1], VARIANTS[0], [1, 2, 3])
-        assert [t for _, t in slices()] == [1, 3]
+        assert [t for _, t in slices] == [1, 3]
 
     def test_small_integrations_keep_one_thread(self, monkeypatch, slices):
         # each thread needs _MIN_SLICE = 256 phases: 100 spins x 2 seeds
@@ -318,7 +328,7 @@ class TestSeedSlices:
         dyn._integrate_batch(torus, prm, list(range(6)))
         dyn._integrate_batch(torus, (prm, prm.without_sync(), prm), [1, 2])
         dyn._integrate_batch(random_ising(800, Torus(20, 40), seed=1), prm, list(range(10)))
-        assert [t for _, t in slices()] == [1, 2, 2, 4]
+        assert [t for _, t in slices] == [1, 2, 2, 4]
 
 
 @st.composite
