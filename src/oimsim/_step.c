@@ -20,14 +20,15 @@
             acc[q0 + u] = t[u];                                                  \
     }
 
-/* phi (n, C); CSR (indptr, indices, data); h (n) or NULL; kdt (n); ks (L, C) used at
- * step k if ks_on[k]; dt_dw (n, C) or NULL; z NULL or seed-major draws (B, zs): step k
- * adds scale * z[b*zs + base[i] + k*stride[i]] to row i, seed b of all C / B variant
- * blocks; work w (n + 1, 2C): row j is [cos phi_j | sin phi_j], row n a row's sums. */
+/* phi (n, C); CSR (indptr, indices, data); h (n) or NULL; kdt (n); ks (L, C): 2*Ks*dt
+ * per step and column, 0.0 where SYNC is off; dt_dw (n, C) or NULL; z NULL or seed-major
+ * draws (B, zs): step k adds scale * z[b*zs + base[i] + k*stride[i]] to row i, seed b of
+ * all C / B variant blocks; work w (n + 1, 2C): row j is [cos phi_j | sin phi_j], row n
+ * a row's sums. */
 void oim_steps(int64_t n, int64_t C, int64_t B, int64_t L, int64_t zs, double scale,
                double *restrict phi, const int64_t *indptr, const int64_t *indices,
                const double *data, const double *h, const double *kdt, const double *ks,
-               const uint8_t *ks_on, const double *dt_dw, const double *z,
+               const double *dt_dw, const double *z,
                const int64_t *base, const int64_t *stride, double *restrict w)
 {
     const int64_t C2 = 2 * C;
@@ -46,8 +47,7 @@ void oim_steps(int64_t n, int64_t C, int64_t B, int64_t L, int64_t zs, double sc
                     if (h)
                         g += h[i] * s;
                     g *= kdt[i];
-                    if (ks_on[k])
-                        g += (s * c) * ks[k * C + q];
+                    g += (s * c) * ks[k * C + q];
                     double x = phi[e] - g;
                     if (dt_dw)
                         x += dt_dw[e];

@@ -28,8 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__ as _version
-from .dynamics import (DynamicsParams, _as_variants, _load_kernel, _share_cpus,
-                       _usable_cpus, run_seeds)
+from .dynamics import DynamicsParams, _as_variants, _share_cpus, _usable_cpus, run_seeds
 from .errors import SpecificationError, _integer
 from .io import BestKnownCatalog
 from .oracles import brute_force
@@ -227,7 +226,6 @@ def run_benchmark(spec, parallelism=1):
                          total_weight=tuple(base.problems[k][2] for k in group))
 
     workers = max(1, min(parallelism, len(units)))
-    _load_kernel()  # lru_cache is no lock: one build and self-check for all threads
     with ThreadPoolExecutor(workers, initializer=_share_cpus,
                             initargs=(max(1, cpus // workers),)) as pool:
         outputs = list((pool.map if workers > 1 else map)(run_unit, units))

@@ -1,7 +1,8 @@
 """Command-line entry point: solve, gen, oracle, bench, convert.
 
-Exit codes: 0 success; 2 usage or flag error; 3 input parse error;
-4 numerical divergence; 5 capacity refusal (exact enumeration too large).
+Exit codes: 0 success; 2 usage or flag error, or an unwritable output path;
+3 input parse error, or an unreadable input path; 4 numerical divergence;
+5 capacity refusal (exact enumeration too large).
 Every result file carries the full parameter set and seeds needed to
 reproduce it; timing lives in a separate section so reruns are
 byte-identical apart from it.
@@ -48,6 +49,16 @@ def _add_dynamics_flags(p):
                    help="natural-frequency spread (std of fractional detuning)")
     p.add_argument("--no-sync", action="store_true",
                    help="disable the SYNC/SHIL injection (ablation)")
+
+
+def _add_run_flags(p, runs):
+    p.add_argument("--runs", type=int, default=runs, help="runs per problem")
+    _add_dynamics_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="seed of the first run")
+    p.add_argument("--threads", type=int, default=None,
+                   help="work-unit threads (default: OIM_THREADS or all cores)")
+    p.add_argument("--out", default=None, help="result file (default: stdout)")
+    p.add_argument("--out-format", choices=["csv", "json"], default="json")
 
 
 def _default_ramp_flag():
@@ -116,39 +127,43 @@ def _emit(text, out_path):
             fh.write(text)
 
 
-def _cli_meta(args, extra=None):
-    meta = {"command": args.command, "argv": args._argv}
-    if extra:
-        meta.update(extra)
-    return meta
+def _run(args, problems, meta, catalog=None):
+    """Run the problems with the run flags, write the export to --out
+    (default: stdout) and print one stderr line per problem; returns the
+    params."""
+    params = _params_from_args(args)
+    spec = BenchmarkSpec(problems=tuple(problems), params=params, runs=args.runs,
+                         seed_base=args.seed, oracle=catalog)
+    summary = run_benchmark(spec, parallelism=_threads(args))
+    extra = {"command": args.command, "argv": args._argv, **meta}
+    if args.out is None:
+        sys.stdout.write(export(summary, args.out_format, extra_meta=extra))
+    else:
+        write_export(summary, args.out_format, args.out, extra_meta=extra)
+    for s in summary.problems:
+        ref = catalog.best_cut(s.name) if catalog else None
+        gap = f" ({100.0 * s.best_cut / ref:.2f}% of best known {ref})" if ref else ""
+        _err(f"{s.name}: best H {s.best_H:g}"
+             + (f", best cut {s.best_cut:g}{gap}" if s.best_cut is not None else "")
+             + f" over {s.runs} run(s)")
+    return params
 
 
 # --- subcommands ---------------------------------------------------------------
 
 def _cmd_solve(args):
     name, problem, total_weight = _load_problem(args.input, args.format)
-    params = _params_from_args(args)
-    spec = BenchmarkSpec(problems=((name, problem, total_weight),), params=params,
-                         runs=args.runs, seed_base=args.seed)
-    summary = run_benchmark(spec, parallelism=_threads(args))
+    params = _run(args, [(name, problem, total_weight)],
+                  {"input": os.path.basename(str(args.input))})
     if args.trace is not None:
         run = simulate(problem, params, seed=args.seed, total_weight=total_weight,
                        trace_points=TRACE_MAX_POINTS)
         tr = run.trajectory_energy
         lines = ["time,lyapunov,rounded_H"]
         lines += [f"{t!r},{e!r},{h!r}" for t, e, h in
-                  zip(tr.times, tr.lyapunov, tr.rounded_H)]
+                  zip(tr.times.tolist(), tr.lyapunov.tolist(), tr.rounded_H.tolist())]
         with open(args.trace, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-    extra = _cli_meta(args, {"input": os.path.basename(str(args.input))})
-    if args.out is None:
-        sys.stdout.write(export(summary, args.out_format, extra_meta=extra))
-    else:
-        write_export(summary, args.out_format, args.out, extra_meta=extra)
-    stats = summary.problems[0]
-    _err(f"{name}: best H {stats.best_H:g}"
-         + (f", best cut {stats.best_cut:g}" if stats.best_cut is not None else "")
-         + f" over {stats.runs} run(s)")
     return 0
 
 
@@ -208,22 +223,7 @@ def _cmd_bench(args):
             catalog = load_catalog(fh.read())
     else:
         catalog = default_catalog()
-    params = _params_from_args(args)
-    spec = BenchmarkSpec(problems=tuple(problems), params=params, runs=args.runs,
-                         seed_base=args.seed, oracle=catalog)
-    summary = run_benchmark(spec, parallelism=_threads(args))
-    extra = _cli_meta(args, {"suite": os.path.basename(os.path.normpath(args.suite))})
-    if args.out is None:
-        sys.stdout.write(export(summary, args.out_format, extra_meta=extra))
-    else:
-        write_export(summary, args.out_format, args.out, extra_meta=extra)
-    for s in summary.problems:
-        ref = catalog.best_cut(s.name)
-        gap = ""
-        if ref and s.best_cut is not None:
-            gap = f" ({100.0 * s.best_cut / ref:.2f}% of best known {ref})"
-        _err(f"{s.name}: best H {s.best_H:g}"
-             + (f", best cut {s.best_cut:g}{gap}" if s.best_cut is not None else ""))
+    _run(args, problems, {"suite": os.path.basename(os.path.normpath(args.suite))}, catalog)
     return 0
 
 
@@ -265,13 +265,7 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=["gset", "ising-json"], default=None,
                    help="input format (default: inferred from extension)")
-    p.add_argument("--runs", type=int, default=1)
-    _add_dynamics_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="work-unit threads (default: OIM_THREADS or all cores)")
-    p.add_argument("--out", default=None, help="result file (default: stdout)")
-    p.add_argument("--out-format", choices=["csv", "json"], default="json")
+    _add_run_flags(p, runs=1)
     p.add_argument("--trace", default=None,
                    help="write a CSV energy trace of the seed run (<= 1e4 points)")
     p.set_defaults(func=_cmd_solve)
@@ -302,12 +296,7 @@ def build_parser():
                         "are skipped, every other file must be an instance")
     p.add_argument("--catalog", default=None,
                    help="best-known CSV (default: shipped catalog)")
-    p.add_argument("--runs", type=int, default=100)
-    _add_dynamics_flags(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--out-format", choices=["csv", "json"], default="json")
+    _add_run_flags(p, runs=100)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("convert", help="convert between instance formats")
@@ -343,9 +332,13 @@ def main(argv=None):
     except (SpecificationError,) as e:
         _err(str(e))
         return 2
-    except FileNotFoundError as e:
-        _err(f"cannot read input: {e}")
-        return 3
+    except OSError as e:  # a path that cannot be written (exit 2) or read (exit 3)
+        out = getattr(args, "out", None)
+        writing = e.filename is not None and e.filename in (
+            out, f"{out}.meta.json", getattr(args, "trace", None))
+        _err(f"cannot {'write' if writing else 'read'} {e.filename or 'input'}: "
+             f"{e.strerror or e}")
+        return 2 if writing else 3
     except OimError as e:
         _err(str(e))
         return 1

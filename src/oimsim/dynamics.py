@@ -98,6 +98,7 @@ _STREAM_NOISE = 2
 _MAX_NOISE_DOUBLES = 262_144  # 2 MB
 _MIN_SLICE = 256  # phases (spins x columns) per thread, at least: fewer gain nothing
 _budget = threading.local()  # .threads: a unit thread's share of the CPUs (else all)
+_kernel_lock = threading.Lock()
 
 
 @lru_cache(maxsize=1)
@@ -326,9 +327,8 @@ def _columns(problem, state, detuning=None):
 
 def _kernel_args(problem, params, t, dt):
     """_coupling's (adj, h_col, Kdt, ks2dt) for one problem at time t."""
-    ks = float(params.ks_at(t))
     return (problem.adjacency, _field_col((problem,)), params.effective_K(problem) * dt,
-            2.0 * dt * ks if ks != 0.0 else None)
+            2.0 * dt * float(params.ks_at(t)))
 
 
 def _field_col(group):
@@ -391,9 +391,9 @@ def _coupling(Phi, adj, h_col, Kdt, ks2dt):
     """-dt times the drift without detuning, for an (n, C) phase matrix.
 
     Kdt = K*dt is a scalar or one value per row (packed problems differ in
-    K when it is normalized by degree); ks2dt = 2*Ks(t)*dt is None when the
-    SYNC term is off for every column, else a scalar or one value per
-    column.
+    K when it is normalized by degree); ks2dt = 2*Ks(t)*dt is a scalar or
+    one value per column, 0.0 where SYNC is off. The SYNC term is always
+    added: a term of 0.0 can only turn a -0 of g into +0.
     """
     c = np.cos(Phi)
     s = np.sin(Phi)
@@ -402,8 +402,7 @@ def _coupling(Phi, adj, h_col, Kdt, ks2dt):
     if h_col is not None:
         g += h_col * s
     g *= Kdt
-    if ks2dt is not None:
-        g += (s * c) * ks2dt
+    g += (s * c) * ks2dt
     return g
 
 
@@ -425,12 +424,13 @@ def _advance(Phi, adj, h_col, Kdt, ks2dt, dt_dw, incr):
     _wrap(Phi)
 
 
-def _steps(Phi, adj, h_col, Kdt, dt_dw, noise, ks_cols, ks_on):
+def _steps(Phi, adj, h_col, Kdt, dt_dw, noise, ks_cols):
     """_advance for each step k of a noise block, the numpy reference path;
-    noise is None or (z, base, stride, scale), read as _step.c reads it."""
-    for k in range(len(ks_on)):
+    ks_cols[k] holds step k's 2*Ks*dt per column; noise is None or (z, base,
+    stride, scale), read as _step.c reads it."""
+    for k in range(len(ks_cols)):
         incr = None if noise is None else noise[3] * noise[0][:, noise[1] + k * noise[2]].T
-        _advance(Phi, adj, h_col, Kdt, ks_cols[k] if ks_on[k] else None, dt_dw, incr)
+        _advance(Phi, adj, h_col, Kdt, ks_cols[k], dt_dw, incr)
 
 
 def _noise_rows(sizes, L):
@@ -468,11 +468,11 @@ def _load_kernel():
         fn = ctypes.CDLL(str(lib)).oim_steps
     except (OSError, subprocess.SubprocessError):  # also: no cc on PATH
         return None
-    fn.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] + [ctypes.c_void_p] * 13
+    fn.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] + [ctypes.c_void_p] * 12
     fn.restype = None
 
     def kernel(Phi, adj, h_col, Kdt, dt_dw, noise):
-        """advance(ks_cols, ks_on): _steps on these arguments, cast once."""
+        """advance(ks_cols): _steps on these arguments, cast once."""
         n, C = Phi.shape
         z, base, stride, scale = noise or (None, None, None, 0.0)
         B, zs = (C, 0) if z is None else z.shape
@@ -487,22 +487,23 @@ def _load_kernel():
             raise ValueError("the step kernel needs C-ordered float64 phases and draws")
         ptrs = [a if a is None else a.ctypes.data for a in keep]  # advance holds keep
 
-        def advance(ks_cols, ks_on):
-            ks, on = np.ascontiguousarray(ks_cols, float), np.ascontiguousarray(ks_on, np.uint8)
-            L, (base, stride) = len(on), keep[8:10]
+        def advance(ks_cols):
+            ks = np.ascontiguousarray(ks_cols, float)
+            L, (base, stride) = len(ks), keep[8:10]
             if ks.shape != (L, C) or z is not None and not (
                     0 <= base.min() <= (base + (L - 1) * stride).max() < zs):
                 raise ValueError("the step kernel needs (L, C) Ks values, draws in range")
-            fn(n, C, B, L, zs, scale, *ptrs[:6], ks.ctypes.data, on.ctypes.data, *ptrs[6:])
+            fn(n, C, B, L, zs, scale, *ptrs[:6], ks.ctypes.data, *ptrs[6:])
         return advance
 
-    # 2C = 30 runs the 8-, 4- and 2-wide tiles; rows 0-3, 4-8: two packed problems
+    # 2C = 30 runs the 8-, 4- and 2-wide tiles; rows 0-3, 4-8: two packed problems;
+    # Ks is 0 in column 0 and at step 1
     rng = np.random.default_rng(0)
     args = (sp.csr_matrix(rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.4)),
             rng.normal(size=(9, 1)), rng.uniform(0.0, 0.1, (9, 1)),
             rng.normal(0.0, 0.1, (9, 15)),
             (rng.normal(size=(5, 36)), *_noise_rows([4, 5], 4), 10.0),
-            rng.uniform(0.0, 0.1, (4, 15)) * (np.arange(15) > 0), np.arange(4) != 1)
+            rng.uniform(0.0, 0.1, (4, 15)) * np.outer(np.arange(4) != 1, np.arange(15) > 0))
     ref = rng.uniform(-50.0, 50.0, (9, 15))
     out = ref.copy()
     _steps(ref, *args)
@@ -567,9 +568,9 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     matrix, so a run's result does not depend on which runs, problems or
     variants share the batch, or on which thread's slice of seeds.
     Returns (Phi, trace) with Phi of shape (sum of n, V*B); trace is None
-    when trace_points is 0, else (times, E, H) with E, H of shape
-    (num_samples, B), sampled as simulate() documents; a trace needs a
-    group of one problem and one variant.
+    when trace_points is 0, else (times, E, H), one value per sample, taken
+    as simulate() documents. A trace covers one run: one problem, one
+    variant and one seed.
     """
     group = _as_group(problem)
     variants = _as_variants(params)
@@ -581,8 +582,8 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     V = len(variants)
     dt = params.dt
     total_steps = params.total_steps
-    if _integer(trace_points, "trace_points", 0) and (len(group) != 1 or V != 1):
-        raise SpecificationError("an energy trace covers a single problem and variant")
+    if _integer(trace_points, "trace_points", 0) and (len(group), V, B) != (1, 1, 1):
+        raise SpecificationError("an energy trace covers a single run (problem, variant, seed)")
 
     Phi = np.empty((n, V * B))
     first = Phi[:, :B]
@@ -624,7 +625,8 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     adj = sp.block_diag([p.adjacency for p in group], format="csr")
     K_eff = [params.effective_K(p) for p in group]
     Kdt = np.repeat(np.multiply(K_eff, dt), sizes).reshape(-1, 1)
-    bind = _load_kernel() or (lambda *args: partial(_steps, *args))  # numpy, alike
+    with _kernel_lock:  # lru_cache is no lock: threads on a cold cache would each build
+        bind = _load_kernel() or (lambda *args: partial(_steps, *args))  # numpy, alike
 
     chunk = max(1, min(256, _MAX_NOISE_DOUBLES // max(1, n * B)))
     draws = np.empty((B, chunk * n)) if gens else None  # reused by every block
@@ -643,19 +645,18 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
         done = 0
         while not (bad and done >= min(bad)[0]):
             if trace_points and (done == total_steps or trace_points > 1 and done % every == 0):
-                E = _lyapunov_cols(group[0], phi, K_eff[0], float(params.ks_at(done * dt)))
-                samples.append((done * dt, E, [hamiltonian(group[0], s)
-                                               for s in round_phases(phi).T]))
+                E = _lyapunov_cols(group[0], phi, K_eff[0], float(params.ks_at(done * dt)))[0]
+                samples.append((done * dt, E, hamiltonian(group[0], round_phases(phi[:, 0]))))
             if done == total_steps:
                 break
             L = min(chunk, total_steps - done, every - done % every)
             for b, off, m, gen in gens[b0 * len(group):b1 * len(group)]:
                 gen.standard_normal(out=draws[b, chunk * off:chunk * off + L * m])
-            # 2*Ks*dt per (step, column); a step with Ks = 0 everywhere skips it
+            # 2*Ks*dt per (step, column), 0.0 where SYNC is off
             t = (done + np.arange(L)) * dt
             ks2dt = 2.0 * dt * np.array([np.asarray(v.ks_at(t), dtype=np.float64)
                                          for v in variants])
-            advance(np.repeat(ks2dt.T, b1 - b0, axis=1), ks2dt.any(axis=0))
+            advance(np.repeat(ks2dt.T, b1 - b0, axis=1))
             done += L
             finite = np.isfinite(phi).reshape(n, V, -1)
             if not finite.all():  # the first diverged (variant, seed), then its first row
@@ -666,7 +667,7 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     # free-running slices, so a slow core delays only its own; the earliest
     # block, then the first column of Phi, names a divergence at any split
     threads = getattr(_budget, "threads", None) or _usable_cpus()
-    T = 1 if trace_points else max(1, min(threads, B, n * V * B // _MIN_SLICE))
+    T = max(1, min(threads, B, n * V * B // _MIN_SLICE))
     cuts = [B * t // T for t in range(T + 1)]
     with ThreadPoolExecutor(T) as pool:  # starts no thread when T = 1
         list((pool.map if T > 1 else map)(integrate, cuts, cuts[1:]))
@@ -701,10 +702,7 @@ def _runs(problem, params, seeds, total_weight, polish,
                                   trace_points=trace_points)
     spins_mat = round_phases(Phi)
     wall = (time.perf_counter() - t0) / (len(variants) * len(group) * B)
-    energy_trace = None
-    if trace is not None:
-        times, E, Hs = trace
-        energy_trace = EnergyTrace(times, E[:, 0], Hs[:, 0])
+    energy_trace = None if trace is None else EnergyTrace(*trace)
     out = []
     for v in range(len(variants)):
         row = 0

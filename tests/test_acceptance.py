@@ -8,6 +8,7 @@ surrogate reference cuts were produced by the long-anneal oracle
 instances; regenerate them with tests/surrogates.py.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from oimsim import (BenchmarkSpec, Complete, DynamicsParams, IsingProblem,
-                    KsSchedule, PhaseState, SaParams, drift, hamiltonian,
+                    KsSchedule, PhaseState, SaParams, ablation_compare, drift, hamiltonian,
                     load_gset, lyapunov, maxcut_to_ising, parse_gset,
                     random_ising, random_spins, run_benchmark, simulate,
                     simulated_annealing, step, write_gset)
@@ -37,6 +38,23 @@ def batched_cuts(graph, params, seeds):
     stats = run_benchmark(spec, parallelism=WORKERS).problems[0]
     assert [r.seed for r in stats.records] == list(seeds)
     return [r.cut for r in stats.records]
+
+
+@functools.cache
+def paired_cuts(source):
+    """Cuts of seeds 0-19 with shipped defaults, without SYNC and at 5%
+    frequency spread, on the torus_800 surrogate or a G-set file: one
+    ablation_compare per graph, shared by c05, c06 and c07. Its variants
+    share one integration, and each result equals a separate run."""
+    graph = torus_800_graph() if source == "torus_800" else load_gset(source)
+    result = ablation_compare(maxcut_to_ising(graph), DynamicsParams(), runs=20, seed_base=0,
+                              total_weight=graph.total_weight, variability_pcts=(0.05,),
+                              parallelism=WORKERS)
+    cuts = {}
+    for label in ("standard", "no_sync", "variability_0.05"):
+        assert [r.seed for r in result[label].records] == list(range(20))
+        cuts[label] = [r.cut for r in result[label].records]
+    return cuts
 
 
 def edge_lyapunov_cols(problem, Phi, K, ks):
@@ -148,7 +166,7 @@ def test_c05_g11_target(g11_path):
     t0 = time.perf_counter()
     simulate(maxcut_to_ising(graph), DynamicsParams(), seed=0)
     per_run = time.perf_counter() - t0
-    cuts = batched_cuts(graph, DynamicsParams(), list(range(20)))
+    cuts = paired_cuts(str(g11_path))["standard"]
     assert max(cuts) >= 552, f"best cut {max(cuts)} < 552"
     assert per_run < 60.0, f"{per_run:.1f}s per run (budget 60s)"
 
@@ -162,9 +180,8 @@ def test_c05_g1_target(g1_path):
 
 def test_c05_surrogate_torus_target():
     """Same-family stand-in: best-of-20 >= 98% of the long-anneal reference."""
-    graph = torus_800_graph()
     ref = SURROGATE_REFS["torus_800"]
-    cuts = batched_cuts(graph, DynamicsParams(), list(range(20)))
+    cuts = paired_cuts("torus_800")["standard"]
     assert max(cuts) >= math.ceil(0.98 * ref), \
         f"best cut {max(cuts)} < 98% of reference {ref}"
 
@@ -191,49 +208,39 @@ def test_c05_stretch_best_of_100(g11_path, g1_path):
 
 # -- 6 -------------------------------------------------------------------------
 
-def _no_sync_gap(graph):
-    params = DynamicsParams()
-    seeds = list(range(20))
-    on = np.array(batched_cuts(graph, params, seeds), dtype=float)
-    off = np.array(batched_cuts(graph, params.without_sync(), seeds), dtype=float)
-    gap = on - off
+def _no_sync_gap(cuts):
+    gap = np.array(cuts["standard"], dtype=float) - np.array(cuts["no_sync"], dtype=float)
     se = np.std(gap, ddof=1) / np.sqrt(len(gap))
     return float(np.mean(gap)), float(se)
 
 
 def test_c06_no_sync_ablation(g11_path):
     """Mean cut without SYNC is lower by more than 5 paired standard errors."""
-    mean_gap, se = _no_sync_gap(load_gset(g11_path))
+    mean_gap, se = _no_sync_gap(paired_cuts(str(g11_path)))
     assert mean_gap > 0, f"no-SYNC gap {mean_gap:g} not positive"
     assert mean_gap > 5 * se, f"gap {mean_gap:g} <= 5*SE ({se:g})"
 
 
 def test_c06_surrogate_no_sync_ablation():
-    mean_gap, se = _no_sync_gap(torus_800_graph())
+    mean_gap, se = _no_sync_gap(paired_cuts("torus_800"))
     assert mean_gap > 0
     assert mean_gap > 5 * se, f"gap {mean_gap:g} <= 5*SE ({se:g})"
 
 
 # -- 7 -------------------------------------------------------------------------
 
-def _variability_ratio(graph):
-    import dataclasses
-    params = DynamicsParams()
-    seeds = list(range(20))
-    nominal = batched_cuts(graph, params, seeds)
-    spread = batched_cuts(
-        graph, dataclasses.replace(params, variability_pct=0.05), seeds)
-    return float(np.mean(spread)) / float(np.mean(nominal))
+def _variability_ratio(cuts):
+    return float(np.mean(cuts["variability_0.05"])) / float(np.mean(cuts["standard"]))
 
 
 def test_c07_variability_robustness(g11_path):
     """Mean cut of 20 runs at 5% frequency spread >= 98% of nominal."""
-    ratio = _variability_ratio(load_gset(g11_path))
+    ratio = _variability_ratio(paired_cuts(str(g11_path)))
     assert ratio >= 0.98, f"5% variability retains only {ratio:.3f} of nominal"
 
 
 def test_c07_surrogate_variability_robustness():
-    ratio = _variability_ratio(torus_800_graph())
+    ratio = _variability_ratio(paired_cuts("torus_800"))
     assert ratio >= 0.98, f"5% variability retains only {ratio:.3f} of nominal"
 
 

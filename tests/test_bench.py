@@ -276,6 +276,19 @@ class TestExport:
         obj = json.loads(export(h, "json"))
         assert obj["counts"] == [1, 1]
 
+    @pytest.mark.parametrize("params", [
+        DynamicsParams(cycles=5.0),
+        DynamicsParams(cycles=5.0, ks_schedule=KsSchedule.constant(0.7)),
+        DynamicsParams(cycles=5.0).without_sync(),
+        DynamicsParams(cycles=5.0, normalize_by_degree=True, variability_pct=0.03),
+    ], ids=["default_ramp", "constant_ks", "without_sync", "normalized_variability"])
+    def test_params_rebuild_from_export(self, params):
+        # an export's meta.params is enough to rebuild the run's params
+        spec = BenchmarkSpec(problems=(("ferro2", IsingProblem(2, [(0, 1, 1.0)])),),
+                             params=params, runs=2)
+        meta = json.loads(export(run_benchmark(spec)))["meta"]
+        assert DynamicsParams.from_config(meta["params"]) == params
+
     def test_write_with_sidecar(self, ferro_summary, tmp_path):
         out = tmp_path / "summary.csv"
         write_export(ferro_summary, "csv", out)

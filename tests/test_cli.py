@@ -72,6 +72,15 @@ class TestSolve:
         assert lines[0] == "time,lyapunov,rounded_H"
         assert 2 <= len(lines) <= 10_001
 
+    def test_trace_rows_are_plain_numbers(self, ferro_json, tmp_path):
+        # each row is three float literals, as repr gives them for Python floats
+        trace = tmp_path / "trace.csv"
+        assert run(["solve", "--input", ferro_json, "--cycles", "2", "--threads", "1",
+                    "--trace", trace, "--out", tmp_path / "r.json"]) == 0
+        rows = [line.split(",") for line in trace.read_text().splitlines()[1:]]
+        assert rows and all(len(r) == 3 and [repr(float(x)) for x in r] == r for r in rows)
+        assert rows[0][0] == "0.0"
+
     def test_variant_is_recorded_once_in_params(self, ferro_json, tmp_path):
         out = tmp_path / "r.json"
         code = run(["solve", "--input", ferro_json, "--runs", "2", "--cycles", "10",
@@ -247,6 +256,44 @@ class TestConvert:
             IsingProblem(2, [(0, 1, 1.0)], fields=[1.0, 0.0])))
         assert run(["convert", "--input", prob, "--to", "gset",
                     "--out", tmp_path / "x.gset"]) == 3
+
+
+class TestPaths:
+    QUICK = ["--runs", "1", "--cycles", "5", "--threads", "1"]
+
+    @pytest.mark.parametrize("argv, code, verb, path", [
+        (["solve", "--input", "{dir}"], 3, "read", "{dir}"),
+        (["oracle", "brute", "--input", "{dir}"], 3, "read", "{dir}"),
+        (["convert", "--input", "{dir}", "--to", "gset"], 3, "read", "{dir}"),
+        (["bench", "--suite", "{file}"], 3, "read", "{file}"),
+        (["bench", "--suite", "{suite}", "--catalog", "{dir}"], 3, "read", "{dir}"),
+        (["solve", "--input", "{file}", "--out", "{dir}"], 2, "write", "{dir}"),
+        (["solve", "--input", "{file}", "--out", "{missing}"], 2, "write", "{missing}"),
+        (["solve", "--input", "{file}", "--trace", "{dir}"], 2, "write", "{dir}"),
+        (["bench", "--suite", "{suite}", "--out", "{missing}", "--out-format", "csv"],
+         2, "write", "{missing}"),
+        (["gen", "--spins", "4", "--topology", "complete", "--out", "{dir}"],
+         2, "write", "{dir}"),
+    ], ids=["solve-input-dir", "oracle-input-dir", "convert-input-dir", "bench-suite-file",
+            "bench-catalog-dir", "solve-out-dir", "solve-out-missing-dir",
+            "solve-trace-dir", "bench-out-missing-dir", "gen-out-dir"])
+    def test_unusable_path_is_one_line(self, ferro_json, tmp_path, capsys,
+                                       argv, code, verb, path):
+        # a path that cannot be read exits 3, one that cannot be written
+        # exits 2, each with one line naming the path and no traceback
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "ferro.json").write_text(ferro_json.read_text())
+        (tmp_path / "dir").mkdir()
+        paths = {"dir": tmp_path / "dir", "file": ferro_json, "suite": suite,
+                 "missing": tmp_path / "missing" / "x.json"}
+        argv = [a.format(**paths) for a in argv]
+        if argv[0] in ("solve", "bench"):
+            argv += self.QUICK
+        assert run(argv) == code
+        errors = [line for line in capsys.readouterr().err.splitlines() if "cannot" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"oimsim: cannot {verb} {path.format(**paths)}: ")
 
 
 class TestUsage:

@@ -382,11 +382,16 @@ class TestPackedGroups:
         assert packed[2].final_cut == (3 - packed[2].final_H) / 2
 
     def test_trace_needs_one_problem(self):
+        # a trace covers one run: two problems, several seeds or several
+        # variants are each rejected
         from oimsim import SpecificationError
         from oimsim.dynamics import _integrate_batch
         group = [random_problem(4, 1), random_problem(4, 2)]
-        with pytest.raises(SpecificationError):
-            _integrate_batch(group, params_with(cycles=1.0), [0], trace_points=2)
+        prm = params_with(cycles=1.0)
+        for problem, params, seeds in ((group, prm, [0]), (group[0], prm, [0, 1, 2]),
+                                       (group[0], (prm, prm.without_sync()), [0])):
+            with pytest.raises(SpecificationError, match="single run"):
+                _integrate_batch(problem, params, seeds, trace_points=2)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_seed_and_problem(self):

@@ -309,13 +309,6 @@ class TestSeedSlices:
         dyn._integrate_batch(group()[1], VARIANTS[0], [1, 2, 3, 4])
         assert [t for _, t in slices] == [3, 3, 4]
 
-    @pytest.mark.usefixtures("split_small")
-    def test_traced_run_uses_one_slice(self, monkeypatch, slices):
-        monkeypatch.setattr(dyn, "_usable_cpus", lambda: 4)
-        dyn._integrate_batch(group()[1], VARIANTS[0], [1, 2, 3], trace_points=5)
-        dyn._integrate_batch(group()[1], VARIANTS[0], [1, 2, 3])
-        assert [t for _, t in slices] == [1, 3]
-
     def test_small_integrations_keep_one_thread(self, monkeypatch, slices):
         # each thread needs _MIN_SLICE = 256 phases: 100 spins x 2 seeds
         # stay on one, x 6 seeds (600 phases) split in two, x 3 variants of
@@ -348,7 +341,7 @@ def probes(draw):
     Kdt = rng.uniform(0.0, 0.2, (n, 1))
     ks_cols = rng.uniform(0.0, 0.2, (L, C))
     ks_cols[:, rng.integers(C)] = 0.0  # a column without SYNC
-    ks_on = rng.random(L) < 0.7
+    ks_cols[rng.integers(L)] = 0.0  # a step without SYNC in any column
     dt_dw = rng.normal(0.0, 0.1, (n, C)) if draw(st.booleans()) else None
     noise = None
     if draw(st.booleans()):
@@ -357,15 +350,15 @@ def probes(draw):
         noise = (rng.normal(size=(B, (L + skip) * n)), base + skip * stride, stride,
                  draw(st.sampled_from([0.1, 10.0])))
     Phi = rng.uniform(-draw(st.sampled_from([TWO_PI, 100.0])), 2 * TWO_PI, (n, C))
-    return Phi, (adj, h_col, Kdt, dt_dw, noise), (ks_cols, ks_on)
+    return Phi, (adj, h_col, Kdt, dt_dw, noise), ks_cols
 
 
 @given(probes())
 @settings(max_examples=60, deadline=None)
 def test_kernel_equals_numpy_steps(probe):
     kernel = kernel_or_skip()
-    Phi, args, block = probe
+    Phi, args, ks_cols = probe
     ref, out = Phi.copy(), Phi.copy()
-    dyn._steps(ref, *args, *block)
-    kernel(out, *args)(*block)
+    dyn._steps(ref, *args, ks_cols)
+    kernel(out, *args)(ks_cols)
     assert ref.tobytes() == out.tobytes()
