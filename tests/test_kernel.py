@@ -309,6 +309,15 @@ class TestSeedSlices:
         dyn._integrate_batch(group()[1], VARIANTS[0], [1, 2, 3, 4])
         assert [t for _, t in slices] == [3, 3, 4]
 
+    @pytest.mark.usefixtures("split_small")
+    def test_traced_run_uses_one_slice(self, monkeypatch, slices):
+        # a trace covers one seed, so it runs as one slice even with threads
+        # to spare; the same problem's untraced 3 seeds split over 3
+        monkeypatch.setattr(dyn, "_usable_cpus", lambda: 4)
+        dyn._integrate_batch(group()[1], VARIANTS[0], [1], trace_points=5)
+        dyn._integrate_batch(group()[1], VARIANTS[0], [1, 2, 3])
+        assert [t for _, t in slices] == [1, 3]
+
     def test_small_integrations_keep_one_thread(self, monkeypatch, slices):
         # each thread needs _MIN_SLICE = 256 phases: 100 spins x 2 seeds
         # stay on one, x 6 seeds (600 phases) split in two, x 3 variants of
