@@ -1,4 +1,4 @@
-/* L steps of oimsim.dynamics._advance in place: numpy's float operations in numpy's
+/* L steps of oimsim.dynamics._steps in place: numpy's float operations in numpy's
  * order (sparse sums in scipy's csr_matvecs order), so numpy's bits. No FMA. */
 #define _GNU_SOURCE
 #include <math.h>
@@ -20,11 +20,11 @@
             acc[q0 + u] = t[u];                                                  \
     }
 
-/* phi (n, C); CSR (indptr, indices, data); h (n) or NULL; kdt (n); ks (L, C): 2*Ks*dt
- * per step and column, 0.0 where SYNC is off; dt_dw (n, C) or NULL; z NULL or seed-major
- * draws (B, zs): step k adds scale * z[b*zs + base[i] + k*stride[i]] to row i, seed b of
- * all C / B variant blocks; work w (n + 1, 2C): row j is [cos phi_j | sin phi_j], row n
- * a row's sums. */
+/* phi (n, C); CSR (indptr, indices, data); h (n); kdt (n); ks (L, C): 2*Ks*dt per step
+ * and column; dt_dw (n, C); z seed-major draws (B, zs): step k adds scale * z[b*zs +
+ * base[i] + k*stride[i]] to row i, seed b of all C / B variant blocks; work w (n + 1, 2C):
+ * row j is [cos phi_j | sin phi_j], row n a row's sums. Every term is added: a term that
+ * is off is 0.0, and the wrap's + 0.0 makes that exact. */
 void oim_steps(int64_t n, int64_t C, int64_t B, int64_t L, int64_t zs, double scale,
                double *restrict phi, const int64_t *indptr, const int64_t *indices,
                const double *data, const double *h, const double *kdt, const double *ks,
@@ -44,15 +44,12 @@ void oim_steps(int64_t n, int64_t C, int64_t B, int64_t L, int64_t zs, double sc
                 for (int64_t b = 0, q = v, e = i * C + v; b < B; b++, q++, e++) {
                     const double c = w[i * C2 + q], s = w[i * C2 + C + q];
                     double g = s * acc[q] - c * acc[C + q];
-                    if (h)
-                        g += h[i] * s;
+                    g += h[i] * s;
                     g *= kdt[i];
                     g += (s * c) * ks[k * C + q];
                     double x = phi[e] - g;
-                    if (dt_dw)
-                        x += dt_dw[e];
-                    if (z)
-                        x += scale * z[b * zs + base[i] + k * stride[i]];
+                    x += dt_dw[e];
+                    x += scale * z[b * zs + base[i] + k * stride[i]];
                     if (x >= -TWO_PI && x < 2.0 * TWO_PI)  /* dynamics._wrap's fast rule */
                         phi[e] = (x >= TWO_PI ? x - TWO_PI : x < 0.0 ? x + TWO_PI : x) + 0.0;
                     else  /* numpy's remainder, as np.mod: also for NaN */

@@ -130,8 +130,14 @@ def _emit(text, out_path):
 def _run(args, problems, meta, catalog=None):
     """Run the problems with the run flags, write the export to --out
     (default: stdout) and print one stderr line per problem; returns the
-    params."""
+    params. The output paths are checked first, and no file changes."""
     params = _params_from_args(args)
+    for path in (args.out, getattr(args, "trace", None)):  # raise what writing would
+        if path is not None and os.path.exists(path):
+            open(path, "r+").close()  # neither truncates nor creates
+        elif path is not None:
+            open(path, "x").close()
+            os.remove(path)
     spec = BenchmarkSpec(problems=tuple(problems), params=params, runs=args.runs,
                          seed_base=args.seed, oracle=catalog)
     summary = run_benchmark(spec, parallelism=_threads(args))

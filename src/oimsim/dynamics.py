@@ -26,10 +26,13 @@ where wrap is exactly np.mod(., 2*pi), bit for bit. One coupling kernel,
 _coupling, computes K*dt times the coupling and field terms plus the SYNC
 term for drift(), step() and the batch integrator alike, so their
 arithmetic is identical; the sin(2 phi) term is computed as
-2 sin(phi) cos(phi) everywhere. The batch integrator runs each noise
-block through one call of _step.c, which does _advance's float operations
-in its order. Its workspace has one row [cos phi_j | sin phi_j] per
-oscillator, so each coupling is one contiguous read that feeds both sums.
+2 sin(phi) cos(phi) everywhere. One numpy step, _steps, serves step(),
+the batch integrator and the kernel's self-check; it adds every term, as
+zeros where a term is off, which the wrap makes exact. The batch
+integrator runs each noise block through one call of _step.c, which does
+_steps's float operations in its order. Its workspace has one row
+[cos phi_j | sin phi_j] per oscillator, so each coupling is one
+contiguous read that feeds both sums.
 Each block's draws go, seed by seed, into one reused seed-major buffer
 that holds each problem's (steps, spins) draws contiguously, and both
 paths read them from there; seed slices run side by side on threads (see
@@ -47,6 +50,7 @@ a fixed (problem, params, seed) on a given platform.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import json
@@ -312,14 +316,12 @@ def round_phases(state):
 
 
 def _columns(problem, state, detuning=None):
-    """The state's phases and the detuning (None when not given) as (n, 1)
+    """The state's phases and the detuning (zeros when not given) as (n, 1)
     columns, checked against n."""
     phi = state.phases
     if phi.shape != (problem.n,):
         raise DimensionError(f"state has {phi.shape[0]} phases, problem has n={problem.n}")
-    if detuning is None:
-        return phi.reshape(-1, 1), None
-    dw = np.asarray(detuning, dtype=np.float64)
+    dw = np.zeros(problem.n) if detuning is None else np.asarray(detuning, dtype=np.float64)
     if dw.shape != (problem.n,):
         raise DimensionError("detuning length must equal n")
     return phi.reshape(-1, 1), dw.reshape(-1, 1)
@@ -332,10 +334,7 @@ def _kernel_args(problem, params, t, dt):
 
 
 def _field_col(group):
-    """The stacked fields as one column, None when no problem has any (a
-    zero field adds exactly nothing, so fieldless problems may share it)."""
-    if not any(p.has_fields for p in group):
-        return None
+    """The stacked fields as one column (zeros where a problem has none)."""
     return np.concatenate([p.h for p in group]).reshape(-1, 1)
 
 
@@ -343,20 +342,15 @@ def drift(problem, state, params, detuning=None):
     """Deterministic part of d phi / dt at the state's time."""
     Phi, dw = _columns(problem, state, detuning)
     d = -_coupling(Phi, *_kernel_args(problem, params, state.time, 1.0))
-    if dw is not None:
-        d += dw
+    d += dw
     return d[:, 0]
 
 
 def lyapunov(problem, state, params):
     """Global energy function E(phi); the noiseless flow descends it."""
     Phi, _ = _columns(problem, state)
+    K = params.effective_K(problem)
     ks = float(params.ks_at(state.time))
-    return float(_lyapunov_cols(problem, Phi, params.effective_K(problem), ks)[0])
-
-
-def _lyapunov_cols(problem, Phi, K, ks):
-    """E for every column of an (n, C) phase matrix."""
     adj = problem.adjacency
     C = np.cos(Phi)
     S = np.sin(Phi)
@@ -364,7 +358,7 @@ def _lyapunov_cols(problem, Phi, K, ks):
     e = -K * (pair + problem.h @ C)
     if ks != 0.0:
         e = e - 0.5 * ks * np.sum(np.cos(2.0 * Phi), axis=0)
-    return e
+    return float(e[0])
 
 
 def _wrap(Phi):
@@ -392,45 +386,33 @@ def _coupling(Phi, adj, h_col, Kdt, ks2dt):
 
     Kdt = K*dt is a scalar or one value per row (packed problems differ in
     K when it is normalized by degree); ks2dt = 2*Ks(t)*dt is a scalar or
-    one value per column, 0.0 where SYNC is off. The SYNC term is always
+    one value per column, 0.0 where SYNC is off. Every term is always
     added: a term of 0.0 can only turn a -0 of g into +0.
     """
     c = np.cos(Phi)
     s = np.sin(Phi)
     g = s * (adj @ c)
     g -= c * (adj @ s)
-    if h_col is not None:
-        g += h_col * s
+    g += h_col * s
     g *= Kdt
     g += (s * c) * ks2dt
     return g
 
 
-def _advance(Phi, adj, h_col, Kdt, ks2dt, dt_dw, incr):
-    """One Euler-Maruyama step, in place, on an (n, C) phase matrix.
-
-    The deterministic part is _coupling's; dt_dw is the precomputed dt *
-    detuning column(s); incr the pre-scaled noise increment, of shape
-    (n, B) with C a multiple of B: every B-column variant block gets the
-    same draws.
-    """
-    Phi -= _coupling(Phi, adj, h_col, Kdt, ks2dt)
-    if dt_dw is not None:
-        Phi += dt_dw
-    if incr is not None:
-        n, B = incr.shape
-        blocks = Phi.reshape(n, -1, B)
-        blocks += incr[:, None, :]
-    _wrap(Phi)
-
-
 def _steps(Phi, adj, h_col, Kdt, dt_dw, noise, ks_cols):
-    """_advance for each step k of a noise block, the numpy reference path;
-    ks_cols[k] holds step k's 2*Ks*dt per column; noise is None or (z, base,
-    stride, scale), read as _step.c reads it."""
+    """One Euler-Maruyama step in place on a C-ordered (n, C) phase matrix
+    for each step k of a noise block: _coupling's with ks_cols[k] (2*Ks*dt
+    per column), plus dt_dw (dt * detuning), plus the noise (z, base, stride,
+    scale) as _step.c reads it: scale * z[b, base[i] + k * stride[i]] for
+    row i and seed b of each B-column variant block, z of shape (B, zs).
+    """
+    z, base, stride, scale = noise
+    blocks = Phi.reshape(len(Phi), -1, len(z))
     for k in range(len(ks_cols)):
-        incr = None if noise is None else noise[3] * noise[0][:, noise[1] + k * noise[2]].T
-        _advance(Phi, adj, h_col, Kdt, ks_cols[k], dt_dw, incr)
+        Phi -= _coupling(Phi, adj, h_col, Kdt, ks_cols[k])
+        Phi += dt_dw
+        blocks += (scale * z[:, base + k * stride].T)[:, None, :]
+        _wrap(Phi)
 
 
 def _noise_rows(sizes, L):
@@ -453,7 +435,8 @@ def _share_cpus(threads):  # run_benchmark's unit-thread initializer
 @lru_cache(maxsize=1)
 def _load_kernel():
     """_steps compiled from _step.c, or None (see the module docstring); the
-    self-check turns every term on and puts phases beyond [-2*pi, 4*pi)."""
+    self-check has every term on and phases beyond [-2*pi, 4*pi). A load
+    refreshes the build's mtime; a build deletes builds 30 days unloaded."""
     src = resources.files("oimsim").joinpath("_step.c").read_bytes()
     flags = ["-O3", "-ffp-contract=off", "-fPIC", "-shared"]
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "oimsim"
@@ -465,6 +448,12 @@ def _load_kernel():
                 subprocess.run(["cc", *flags, "-x", "c", "-", "-o", f"{tmp}/k.so", "-lm"],
                                input=src, capture_output=True, check=True, timeout=300)
                 os.replace(f"{tmp}/k.so", lib)
+            for old in cache.glob("_step-*.so"):
+                with contextlib.suppress(OSError):  # another process may prune it too
+                    if time.time() - old.stat().st_mtime > 30 * 86400:
+                        old.unlink()
+        with contextlib.suppress(OSError):  # a read-only cache still loads
+            os.utime(lib)
         fn = ctypes.CDLL(str(lib)).oim_steps
     except (OSError, subprocess.SubprocessError):  # also: no cc on PATH
         return None
@@ -474,24 +463,22 @@ def _load_kernel():
     def kernel(Phi, adj, h_col, Kdt, dt_dw, noise):
         """advance(ks_cols): _steps on these arguments, cast once."""
         n, C = Phi.shape
-        z, base, stride, scale = noise or (None, None, None, 0.0)
-        B, zs = (C, 0) if z is None else z.shape
-        cast = lambda a, shape, dtype=np.float64: None if a is None else (  # noqa: E731
-            np.ascontiguousarray(np.broadcast_to(a, shape), dtype=dtype))
+        z, base, stride, scale = noise
+        B, zs = z.shape
+        cast = lambda a, shape, dtype=np.float64: np.ascontiguousarray(  # noqa: E731
+            np.broadcast_to(a, shape), dtype=dtype)
         keep = [Phi, cast(adj.indptr, n + 1, np.int64), cast(adj.indices, adj.nnz, np.int64),
                 cast(adj.data, adj.nnz), cast(h_col, (n, 1)), cast(Kdt, (n, 1)),
                 cast(dt_dw, (n, C)), z, cast(base, n, np.int64), cast(stride, n, np.int64),
                 np.empty((n + 1, 2 * C))]
-        if any(a is not None and (a.dtype != np.float64 or not a.flags.c_contiguous)
-               for a in (Phi, z)) or C % B:
+        if any(a.dtype != np.float64 or not a.flags.c_contiguous for a in (Phi, z)) or C % B:
             raise ValueError("the step kernel needs C-ordered float64 phases and draws")
-        ptrs = [a if a is None else a.ctypes.data for a in keep]  # advance holds keep
+        ptrs = [a.ctypes.data for a in keep]  # advance holds keep
 
         def advance(ks_cols):
             ks = np.ascontiguousarray(ks_cols, float)
             L, (base, stride) = len(ks), keep[8:10]
-            if ks.shape != (L, C) or z is not None and not (
-                    0 <= base.min() <= (base + (L - 1) * stride).max() < zs):
+            if ks.shape != (L, C) or not 0 <= base.min() <= (base + (L - 1) * stride).max() < zs:
                 raise ValueError("the step kernel needs (L, C) Ks values, draws in range")
             fn(n, C, B, L, zs, scale, *ptrs[:6], ks.ctypes.data, *ptrs[6:])
         return advance
@@ -523,14 +510,15 @@ def step(state, problem, params, detuning=None, rng=None):
     """
     dt = params.dt
     Phi, dw = _columns(problem, state, detuning)
-    incr = None
+    z = np.zeros((1, problem.n))  # one step's draws, as _steps reads them
     if params.noise_amp > 0:
         if rng is None:
             raise SpecificationError("rng is required when noise_amp > 0")
-        incr = (params.noise_amp * math.sqrt(dt)) * rng.standard_normal((problem.n, 1))
-    dt_dw = dt * dw if dw is not None and np.any(dw != 0.0) else None
+        z[0] = rng.standard_normal(problem.n)
+    adj, h_col, Kdt, ks2dt = _kernel_args(problem, params, state.time, dt)
     Phi = Phi.copy()
-    _advance(Phi, *_kernel_args(problem, params, state.time, dt), dt_dw, incr)
+    _steps(Phi, adj, h_col, Kdt, dt * dw,
+           (z, *_noise_rows([problem.n], 1), params.noise_amp * math.sqrt(dt)), [ks2dt])
     return PhaseState(Phi[:, 0], state.time + dt)
 
 
@@ -606,16 +594,12 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
         Phi[:, v * B:(v + 1) * B] = first
 
     # columns without variability add +0.0, which is exact: Phi is never -0
-    dt_dw = None
-    if any(v.variability_pct > 0 for v in variants):
-        dw = np.zeros((n, V * B))
-        for v, prm in enumerate(variants):
-            if prm.variability_pct > 0:
-                for b, seed in enumerate(seeds):
-                    for off, m in zip(offsets, sizes):
-                        dw[off:off + m, v * B + b] = sample_detuning(
-                            m, prm.variability_pct, seed)
-        dt_dw = dt * dw
+    dw = np.zeros((n, V * B))
+    for v, prm in enumerate(variants):
+        for b, seed in enumerate(seeds):
+            for off, m in zip(offsets, sizes):
+                dw[off:off + m, v * B + b] = sample_detuning(m, prm.variability_pct, seed)
+    dt_dw = dt * dw
 
     gens = [] if params.noise_amp == 0 else [
         (b, off, m, _substream(seed, _STREAM_NOISE)) for b, seed in enumerate(seeds)
@@ -629,9 +613,8 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
         bind = _load_kernel() or (lambda *args: partial(_steps, *args))  # numpy, alike
 
     chunk = max(1, min(256, _MAX_NOISE_DOUBLES // max(1, n * B)))
-    draws = np.empty((B, chunk * n)) if gens else None  # reused by every block
-    noise = (draws, *_noise_rows(sizes, chunk), params.noise_amp * math.sqrt(dt)) \
-        if gens else None
+    draws = np.zeros((B, chunk * n))  # reused by every block; never drawn into without noise
+    noise = (*_noise_rows(sizes, chunk), params.noise_amp * math.sqrt(dt))
     # an energy trace samples (time, E, rounded H) at block ends: every
     # multiple of `every` steps (from 0 when trace_points > 1) and the end
     every = -(-total_steps // (trace_points - 1)) if trace_points > 1 else total_steps
@@ -639,14 +622,16 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
 
     def integrate(b0, b1):
         """Run seeds b0:b1 to the end or to a block end where any slice diverged."""
-        phi, dw = (None if a is None else np.ascontiguousarray(  # every variant's columns
-            a.reshape(n, V, B)[:, :, b0:b1]).reshape(n, -1) for a in (Phi, dt_dw))
-        advance = bind(phi, adj, h_col, Kdt, dw, noise and (draws[b0:b1], *noise[1:]))
+        start.wait()  # no slice runs ahead while another thread is still starting
+        phi, dw = (np.ascontiguousarray(a.reshape(n, V, B)[:, :, b0:b1]).reshape(n, -1)
+                   for a in (Phi, dt_dw))  # every variant's columns
+        advance = bind(phi, adj, h_col, Kdt, dw, (draws[b0:b1], *noise))
         done = 0
         while not (bad and done >= min(bad)[0]):
             if trace_points and (done == total_steps or trace_points > 1 and done % every == 0):
-                E = _lyapunov_cols(group[0], phi, K_eff[0], float(params.ks_at(done * dt)))[0]
-                samples.append((done * dt, E, hamiltonian(group[0], round_phases(phi[:, 0]))))
+                state = PhaseState(phi[:, 0], done * dt)
+                samples.append((done * dt, lyapunov(group[0], state, params),
+                                hamiltonian(group[0], round_phases(state))))
             if done == total_steps:
                 break
             L = min(chunk, total_steps - done, every - done % every)
@@ -669,8 +654,12 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     threads = getattr(_budget, "threads", None) or _usable_cpus()
     T = max(1, min(threads, B, n * V * B // _MIN_SLICE))
     cuts = [B * t // T for t in range(T + 1)]
+    start = threading.Barrier(T)
     with ThreadPoolExecutor(T) as pool:  # starts no thread when T = 1
-        list((pool.map if T > 1 else map)(integrate, cuts, cuts[1:]))
+        try:
+            list((pool.map if T > 1 else map)(integrate, cuts, cuts[1:]))
+        finally:
+            start.abort()  # frees the waiting slices if a thread could not start
     if bad:
         step, _, b, row = min(bad)
         p = int(np.searchsorted(offsets, row, side="right")) - 1

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from oimsim import IsingProblem, write_ising_json
+from oimsim import IsingProblem, NumericalDivergenceError, write_ising_json
 from oimsim.cli import main
 
 TRIANGLE_GSET = "3 3\n1 2 1\n1 3 1\n2 3 1\n"
@@ -294,6 +294,37 @@ class TestPaths:
         errors = [line for line in capsys.readouterr().err.splitlines() if "cannot" in line]
         assert len(errors) == 1
         assert errors[0].startswith(f"oimsim: cannot {verb} {path.format(**paths)}: ")
+
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_benchmark was called")
+
+        monkeypatch.setattr("oimsim.cli.run_benchmark", refuse)
+
+    @pytest.mark.usefixtures("no_runs")
+    @pytest.mark.parametrize("flag, path", [("--out", "missing/x.json"), ("--trace", "dir")])
+    def test_output_path_checked_before_the_run(self, ferro_json, tmp_path, capsys,
+                                                flag, path):
+        (tmp_path / "dir").mkdir()
+        target = tmp_path / path
+        assert run(["solve", "--input", ferro_json, flag, target] + self.QUICK) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"oimsim: cannot write {target}: ")
+        assert not (tmp_path / "missing").exists()
+
+    def test_failed_run_keeps_existing_outputs(self, ferro_json, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise NumericalDivergenceError("non-finite phases", step=1, seed=0, problem="ferro")
+
+        monkeypatch.setattr("oimsim.cli.run_benchmark", diverge)
+        out, trace = tmp_path / "out.json", tmp_path / "trace.csv"
+        out.write_text("earlier result\n")
+        trace.write_text("earlier trace\n")
+        assert run(["solve", "--input", ferro_json, "--out", out, "--trace", trace]
+                   + self.QUICK) == 4
+        assert out.read_text() == "earlier result\n"
+        assert trace.read_text() == "earlier trace\n"
 
 
 class TestUsage:

@@ -334,6 +334,14 @@ class TestTraceSampler:
         assert tr.rounded_H[-1] == res.final_H
         assert len(tr.lyapunov) == len(tr.rounded_H) == count
 
+    def test_first_sample_is_lyapunov_at_the_initial_phases(self):
+        p = random_problem(6, 9, with_fields=True)
+        prm = params_with(ks_level=0.7, K=1.3, cycles=2.0, steps_per_cycle=4, noise_amp=0.2)
+        phi = np.random.default_rng(5).uniform(0.0, 2 * np.pi, 6)
+        tr = simulate(p, prm, seed=1, trace_points=3, initial_phases=phi).trajectory_energy
+        assert tr.times[0] == 0.0
+        assert tr.lyapunov[0] == lyapunov(p, PhaseState(phi), prm)
+
     @pytest.mark.parametrize("bad", [-5, 2.5, "3", None])
     def test_trace_points_must_be_an_integer(self, bad):
         from oimsim import SpecificationError

@@ -1,13 +1,14 @@
 """The compiled step kernel against its numpy reference, and the fallbacks.
 
 The kernel advances a phase matrix by many steps per call; the numpy loop
-over _advance is the reference. Every test here asks for equal bits.
+of _steps is the reference. Every test here asks for equal bits.
 """
 
 import dataclasses
 import os
 import shutil
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -111,6 +112,41 @@ class TestFallback:
         monkeypatch.setattr(dyn.subprocess, "run", None)
         assert dyn._load_kernel() is not None
         assert sorted(os.listdir(tmp_path / "oimsim")) == before
+
+    def test_build_prunes_builds_unused_for_30_days(self, fresh_loader, monkeypatch, tmp_path):
+        kernel_or_skip()
+        dyn._load_kernel.cache_clear()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        cache = tmp_path / "oimsim"
+        cache.mkdir()
+        # other sources' builds, last loaded 31 and 29 days ago
+        for days in (31, 29):
+            (cache / f"_step-{days:016d}.so").write_text("other")
+            age = time.time() - days * 86400
+            os.utime(cache / f"_step-{days:016d}.so", (age, age))
+        assert dyn._load_kernel() is not None
+        left = sorted(os.listdir(cache))
+        assert len(left) == 2 and f"_step-{29:016d}.so" in left
+
+    def test_warm_load_refreshes_the_build(self, fresh_loader, monkeypatch, tmp_path):
+        kernel_or_skip()
+        dyn._load_kernel.cache_clear()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        assert dyn._load_kernel() is not None
+        (lib,) = (tmp_path / "oimsim").iterdir()
+        age = time.time() - 40 * 86400
+        os.utime(lib, (age, age))
+        dyn._load_kernel.cache_clear()
+        monkeypatch.setattr(dyn.subprocess, "run", None)
+        assert dyn._load_kernel() is not None
+        assert time.time() - lib.stat().st_mtime < 3600
+        # a build that cannot be touched (a read-only cache) still loads
+        def read_only(*args):
+            raise PermissionError(30, "Read-only file system")
+
+        dyn._load_kernel.cache_clear()
+        monkeypatch.setattr(dyn.os, "utime", read_only)
+        assert dyn._load_kernel() is not None
 
     def test_pool_builds_once(self, fresh_loader, monkeypatch, tmp_path):
         # a cold cache and two unit threads: the compiler starts once, before
@@ -318,6 +354,24 @@ class TestSeedSlices:
         dyn._integrate_batch(group()[1], VARIANTS[0], [1, 2, 3])
         assert [t for _, t in slices] == [1, 3]
 
+    @pytest.mark.usefixtures("split_small")
+    def test_slices_start_together(self, monkeypatch):
+        # two slices of a noise-free 2-spin problem in 1,000 one-step blocks
+        # on the numpy path, which keeps the GIL at this size: the second
+        # slice's first block runs before the first slice's 100th. Each
+        # call is logged by its slice's rows of the draw buffer, in order.
+        monkeypatch.setattr(dyn, "_load_kernel", lambda: None)
+        monkeypatch.setattr(dyn, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", 4)
+        log, real = [], dyn._steps
+        monkeypatch.setattr(dyn, "_steps",
+                            lambda *a: log.append(a[5][0].ctypes.data) or real(*a))
+        prm = DynamicsParams(noise_amp=0.0, cycles=1000.0, steps_per_cycle=1)
+        dyn._integrate_batch(IsingProblem(2, [(0, 1, 1.0)]), prm, [1, 2])
+        first, second = sorted(set(log))
+        assert log.count(first) == log.count(second) == 1000
+        assert log.index(second) < [i for i, z in enumerate(log) if z == first][99]
+
     def test_small_integrations_keep_one_thread(self, monkeypatch, slices):
         # each thread needs _MIN_SLICE = 256 phases: 100 spins x 2 seeds
         # stay on one, x 6 seeds (600 phases) split in two, x 3 variants of
@@ -346,18 +400,18 @@ def probes(draw):
     L = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     adj = sp.csr_matrix(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.5))
-    h_col = rng.normal(size=(n, 1)) if draw(st.booleans()) else None
+    # a term that is off is zeros, as the integrator passes it
+    h_col = rng.normal(size=(n, 1)) if draw(st.booleans()) else np.zeros((n, 1))
     Kdt = rng.uniform(0.0, 0.2, (n, 1))
     ks_cols = rng.uniform(0.0, 0.2, (L, C))
     ks_cols[:, rng.integers(C)] = 0.0  # a column without SYNC
     ks_cols[rng.integers(L)] = 0.0  # a step without SYNC in any column
-    dt_dw = rng.normal(0.0, 0.1, (n, C)) if draw(st.booleans()) else None
-    noise = None
-    if draw(st.booleans()):
-        skip = draw(st.integers(0, 2))
-        base, stride = dyn._noise_rows(sizes, L + skip)
-        noise = (rng.normal(size=(B, (L + skip) * n)), base + skip * stride, stride,
-                 draw(st.sampled_from([0.1, 10.0])))
+    dt_dw = rng.normal(0.0, 0.1, (n, C)) if draw(st.booleans()) else np.zeros((n, C))
+    skip = draw(st.integers(0, 2))
+    base, stride = dyn._noise_rows(sizes, L + skip)
+    z = rng.normal(size=(B, (L + skip) * n))
+    z = z if draw(st.booleans()) else np.zeros_like(z)
+    noise = (z, base + skip * stride, stride, draw(st.sampled_from([0.0, 0.1, 10.0])))
     Phi = rng.uniform(-draw(st.sampled_from([TWO_PI, 100.0])), 2 * TWO_PI, (n, C))
     return Phi, (adj, h_col, Kdt, dt_dw, noise), ks_cols
 
