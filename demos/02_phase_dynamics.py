@@ -28,7 +28,7 @@ print(f"final spins: {''.join('+' if s > 0 else '-' for s in run.final_spins)}")
 
 # without SYNC the phases stay spread over the circle instead of locking
 # to the two binary values
-no_sync = DynamicsParams(cycles=200.0, sync_enabled=False)
+no_sync = DynamicsParams(cycles=200.0).without_sync()
 run2 = simulate(problem, no_sync, seed=0)
 print(f"\nno-SYNC ablation: H = {run2.final_H:g} "
       f"(thresholded from non-binary phases)")

@@ -37,7 +37,7 @@ from .problems import IsingProblem
 __all__ = [
     "BenchmarkSpec", "RunRecord", "ProblemStats", "RunSummary",
     "EnergyHistogram", "run_benchmark", "histogram", "ablation_compare",
-    "AblationResult", "export", "write_export",
+    "AblationResult", "export", "export_paths", "write_export",
 ]
 
 _SEED_CHUNK = 10  # runs per vectorized batch; fixed so batching never depends
@@ -402,8 +402,15 @@ def export(obj, format="json", extra_meta=None):
     raise SpecificationError(f"cannot export {type(obj).__name__}")
 
 
+def export_paths(path, format):
+    """The files write_export writes for a RunSummary: the export at path
+    and, for CSV, its JSON metadata sidecar at <path>.meta.json."""
+    return [path] + ([f"{path}.meta.json"] if format == "csv" else [])
+
+
 def write_export(obj, format, path, extra_meta=None):
-    """Write an export; CSV gets a JSON metadata sidecar at <path>.meta.json."""
+    """Write an export; a RunSummary's CSV gets a JSON metadata sidecar
+    (see export_paths)."""
     text = export(obj, format, extra_meta)
     with open(path, "w") as fh:
         fh.write(text)
@@ -414,5 +421,6 @@ def write_export(obj, format, path, extra_meta=None):
         meta["per_run"] = [{"problem": r.problem, "seed": r.seed, "H": r.H,
                             "cut": r.cut}
                            for s in obj.problems for r in s.records]
-        with open(f"{path}.meta.json", "w") as fh:
+        _, sidecar = export_paths(path, format)
+        with open(sidecar, "w") as fh:
             fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .bench import BenchmarkSpec, export, run_benchmark, write_export
+from .bench import BenchmarkSpec, export, export_paths, run_benchmark, write_export
 from .dynamics import DEFAULTS, DynamicsParams, KsSchedule, _usable_cpus, simulate
 from .errors import (CapacityError, NumericalDivergenceError, OimError,
                      ParseError, SpecificationError, _integer)
@@ -48,7 +48,7 @@ def _add_dynamics_flags(p):
     p.add_argument("--variability", type=float, default=DEFAULTS["variability_pct"],
                    help="natural-frequency spread (std of fractional detuning)")
     p.add_argument("--no-sync", action="store_true",
-                   help="disable the SYNC/SHIL injection (ablation)")
+                   help="disable the SYNC/SHIL injection (ablation): Ks level 0, as --ks 0")
 
 
 def _add_run_flags(p, runs):
@@ -63,16 +63,13 @@ def _add_run_flags(p, runs):
 
 def _default_ramp_flag():
     ks = DEFAULTS["ks"]
-    if ks["kind"] == "ramp":
-        return f"linear:{ks['t0']:g}:{ks['t1']:g}"
-    return "none"
+    return f"linear:{ks['t0']:g}:{ks['t1']:g}"
 
 
 def _params_from_args(args):
     ramp = args.ks_ramp
-    if ramp == "none":
-        schedule = KsSchedule.constant(args.ks)
-    else:
+    t0 = t1 = 0.0  # 'none': a constant Ks, the step at 0
+    if ramp != "none":
         parts = ramp.split(":")
         if len(parts) != 3 or parts[0] != "linear":
             raise SpecificationError(f"--ks-ramp must be 'none' or 'linear:T0:T1', got {ramp!r}")
@@ -80,15 +77,13 @@ def _params_from_args(args):
             t0, t1 = float(parts[1]), float(parts[2])
         except ValueError:
             raise SpecificationError(f"bad ramp times in {ramp!r}") from None
-        schedule = KsSchedule.ramp(t0, t1, args.ks)
     return DynamicsParams(
         K=args.k,
-        ks_schedule=schedule,
+        ks_schedule=KsSchedule.ramp(t0, t1, 0.0 if args.no_sync else args.ks),
         noise_amp=args.noise,
         variability_pct=args.variability,
         cycles=args.cycles,
         steps_per_cycle=args.steps_per_cycle,
-        sync_enabled=not args.no_sync,
     )
 
 
@@ -119,6 +114,13 @@ def _load_problem(path, fmt=None):
     return problem.name or base, problem, None
 
 
+def _output_paths(args):
+    """Every file the command writes: --out, a CSV export's sidecar, --trace."""
+    out, trace = getattr(args, "out", None), getattr(args, "trace", None)
+    paths = [] if out is None else export_paths(out, getattr(args, "out_format", None))
+    return paths + ([] if trace is None else [trace])
+
+
 def _emit(text, out_path):
     if out_path is None:
         sys.stdout.write(text)
@@ -132,10 +134,10 @@ def _run(args, problems, meta, catalog=None):
     (default: stdout) and print one stderr line per problem; returns the
     params. The output paths are checked first, and no file changes."""
     params = _params_from_args(args)
-    for path in (args.out, getattr(args, "trace", None)):  # raise what writing would
-        if path is not None and os.path.exists(path):
+    for path in _output_paths(args):  # raise what writing would
+        if os.path.exists(path):
             open(path, "r+").close()  # neither truncates nor creates
-        elif path is not None:
+        else:
             open(path, "x").close()
             os.remove(path)
     spec = BenchmarkSpec(problems=tuple(problems), params=params, runs=args.runs,
@@ -339,9 +341,7 @@ def main(argv=None):
         _err(str(e))
         return 2
     except OSError as e:  # a path that cannot be written (exit 2) or read (exit 3)
-        out = getattr(args, "out", None)
-        writing = e.filename is not None and e.filename in (
-            out, f"{out}.meta.json", getattr(args, "trace", None))
+        writing = e.filename is not None and e.filename in _output_paths(args)
         _err(f"cannot {'write' if writing else 'read'} {e.filename or 'input'}: "
              f"{e.strerror or e}")
         return 2 if writing else 3

@@ -9,7 +9,8 @@ oscillation cycles. The drift is
                    - Ks(t) * sin(2 phi_i)
 
 where dw_i are per-oscillator frequency detunings and Ks(t) is the strength
-of the double-frequency SYNC injection. The sin(2 phi) term creates two
+of the double-frequency SYNC injection, a KsSchedule ramp from 0 to its
+level (times t >= 0; SYNC off is level 0). The sin(2 phi) term creates two
 stable locks 180 degrees apart (the physical bit); without detuning and
 noise the flow descends the Lyapunov function
 
@@ -122,47 +123,42 @@ def _substream(seed, stream):
 
 @dataclass(frozen=True)
 class KsSchedule:
-    """SYNC strength Ks(t): constant, or a linear ramp 0 -> level.
+    """SYNC strength Ks(t), a linear ramp 0 -> level, for t >= 0.
 
-    The ramp is 0 before t0, `level` after t1, and linear in between.
+    Ks is 0 before t0, `level` from t1 on, and linear in between; when
+    t0 == t1 it steps to `level` at t1. constant(level) is the step at 0,
+    and level 0 is SYNC off.
     """
 
     level: float
     t0: float = 0.0
     t1: float = 0.0
-    kind: str = "constant"
 
     def __post_init__(self):
         if not (math.isfinite(self.level) and self.level >= 0):
             raise SpecificationError("Ks level must be finite and >= 0")
-        if self.kind not in ("constant", "ramp"):
-            raise SpecificationError(f"unknown Ks schedule kind {self.kind!r}")
-        if self.kind == "ramp" and not (0 <= self.t0 <= self.t1):
-            raise SpecificationError("ramp needs 0 <= t0 <= t1")
+        if not (0 <= self.t0 <= self.t1 < math.inf):
+            raise SpecificationError("ramp needs finite 0 <= t0 <= t1")
 
     @classmethod
     def constant(cls, level):
-        return cls(level=float(level))
+        return cls.ramp(0.0, 0.0, level)
 
     @classmethod
     def ramp(cls, t0, t1, level):
-        return cls(level=float(level), t0=float(t0), t1=float(t1), kind="ramp")
+        return cls(level=float(level), t0=float(t0), t1=float(t1))
 
     @classmethod
     def from_config(cls, cfg):
-        if cfg["kind"] == "constant":
-            return cls.constant(cfg["level"])
-        return cls.ramp(cfg["t0"], cfg["t1"], cfg["level"])
+        """Inverse of to_config. A version-2 config's "kind" is ignored; a
+        constant one has no t0 or t1, which then read as 0."""
+        return cls.ramp(cfg.get("t0", 0.0), cfg.get("t1", 0.0), cfg["level"])
 
     def to_config(self):
-        if self.kind == "constant":
-            return {"kind": "constant", "level": self.level}
-        return {"kind": "ramp", "t0": self.t0, "t1": self.t1, "level": self.level}
+        return {"t0": self.t0, "t1": self.t1, "level": self.level}
 
     def value(self, t):
         """Ks at time t (scalar or array)."""
-        if self.kind == "constant":
-            return self.level * np.ones_like(np.asarray(t, dtype=np.float64))
         t = np.asarray(t, dtype=np.float64)
         width = self.t1 - self.t0
         if width == 0.0:
@@ -195,7 +191,6 @@ class DynamicsParams:
     variability_pct: float = DEFAULTS["variability_pct"]
     cycles: float = DEFAULTS["cycles"]
     steps_per_cycle: int = DEFAULTS["steps_per_cycle"]
-    sync_enabled: bool = DEFAULTS["sync_enabled"]
     normalize_by_degree: bool = DEFAULTS.get("normalize_by_degree", False)
 
     def __post_init__(self):
@@ -218,18 +213,13 @@ class DynamicsParams:
     def total_steps(self):
         return int(math.ceil(round(self.cycles * self.steps_per_cycle, 9)))
 
-    def ks_at(self, t):
-        if not self.sync_enabled:
-            return np.zeros_like(np.asarray(t, dtype=np.float64))
-        return self.ks_schedule.value(t)
-
     def effective_K(self, problem):
         """K as applied to this problem (divided by max degree when the
         normalization flag is on; the default is parameter-free)."""
         return self.K / problem.max_degree if self.normalize_by_degree else self.K
 
     def without_sync(self):
-        return replace(self, sync_enabled=False)
+        return replace(self, ks_schedule=KsSchedule.constant(0.0))
 
     def to_config(self):
         return {
@@ -239,32 +229,35 @@ class DynamicsParams:
             "variability_pct": self.variability_pct,
             "cycles": self.cycles,
             "steps_per_cycle": self.steps_per_cycle,
-            "sync_enabled": self.sync_enabled,
             "normalize_by_degree": self.normalize_by_degree,
         }
 
     @classmethod
     def from_config(cls, cfg):
+        """Inverse of to_config; a version-2 config's "sync_enabled": false
+        reads as Ks level 0."""
+        ks = KsSchedule.from_config(cfg["ks"])
         return cls(
             K=cfg["K"],
-            ks_schedule=KsSchedule.from_config(cfg["ks"]),
+            ks_schedule=ks if cfg.get("sync_enabled", True) else KsSchedule.constant(0.0),
             noise_amp=cfg["noise_amp"],
             variability_pct=cfg["variability_pct"],
             cycles=cfg["cycles"],
             steps_per_cycle=cfg["steps_per_cycle"],
-            sync_enabled=cfg["sync_enabled"],
             normalize_by_degree=cfg.get("normalize_by_degree", False),
         )
 
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Oscillator phases (radians) at a simulation time (cycles)."""
+    """Oscillator phases (radians) at a simulation time (cycles), t >= 0."""
 
     phases: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise SpecificationError("time must be finite and >= 0")
         p = np.asarray(self.phases, dtype=np.float64)
         if p.ndim != 1:
             raise DimensionError("phases must be a 1D vector")
@@ -330,7 +323,7 @@ def _columns(problem, state, detuning=None):
 def _kernel_args(problem, params, t, dt):
     """_coupling's (adj, h_col, Kdt, ks2dt) for one problem at time t."""
     return (problem.adjacency, _field_col((problem,)), params.effective_K(problem) * dt,
-            2.0 * dt * float(params.ks_at(t)))
+            2.0 * dt * float(params.ks_schedule.value(t)))
 
 
 def _field_col(group):
@@ -350,14 +343,12 @@ def lyapunov(problem, state, params):
     """Global energy function E(phi); the noiseless flow descends it."""
     Phi, _ = _columns(problem, state)
     K = params.effective_K(problem)
-    ks = float(params.ks_at(state.time))
+    ks = float(params.ks_schedule.value(state.time))
     adj = problem.adjacency
     C = np.cos(Phi)
     S = np.sin(Phi)
     pair = 0.5 * (np.sum(C * (adj @ C), axis=0) + np.sum(S * (adj @ S), axis=0))
-    e = -K * (pair + problem.h @ C)
-    if ks != 0.0:
-        e = e - 0.5 * ks * np.sum(np.cos(2.0 * Phi), axis=0)
+    e = -K * (pair + problem.h @ C) - 0.5 * ks * np.sum(np.cos(2.0 * Phi), axis=0)
     return float(e[0])
 
 
@@ -526,8 +517,8 @@ def _as_group(problem):
     return (problem,) if isinstance(problem, IsingProblem) else tuple(problem)
 
 
-# what the variants of one batch must share: they differ only in SYNC, the
-# Ks schedule and frequency variability
+# what the variants of one batch must share: they differ only in the Ks
+# schedule and frequency variability
 _SHARED = ("K", "noise_amp", "cycles", "steps_per_cycle", "normalize_by_degree")
 
 
@@ -639,8 +630,7 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
                 gen.standard_normal(out=draws[b, chunk * off:chunk * off + L * m])
             # 2*Ks*dt per (step, column), 0.0 where SYNC is off
             t = (done + np.arange(L)) * dt
-            ks2dt = 2.0 * dt * np.array([np.asarray(v.ks_at(t), dtype=np.float64)
-                                         for v in variants])
+            ks2dt = 2.0 * dt * np.array([v.ks_schedule.value(t) for v in variants])
             advance(np.repeat(ks2dt.T, b1 - b0, axis=1))
             done += L
             finite = np.isfinite(phi).reshape(n, V, -1)

@@ -106,14 +106,14 @@ class SaParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise SpecificationError("iterations must be >= 1")
-        if self.T_final <= 0:
-            raise SpecificationError("T_final must be > 0")
-        if self.T_initial is not None and self.T_initial < self.T_final:
-            raise SpecificationError("need T_initial >= T_final")
-        if self.moves_per_temp is not None and self.moves_per_temp < 1:
-            raise SpecificationError("moves_per_temp must be >= 1")
+        _integer(self.iterations, "iterations", 1)
+        if not (math.isfinite(self.T_final) and self.T_final > 0):
+            raise SpecificationError("T_final must be finite and > 0")
+        if self.T_initial is not None and not (
+                math.isfinite(self.T_initial) and self.T_initial >= self.T_final):
+            raise SpecificationError("T_initial must be finite and >= T_final")
+        if self.moves_per_temp is not None:
+            _integer(self.moves_per_temp, "moves_per_temp", 1)
         _integer(self.seed, "seed", 0)
 
     @classmethod

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ import oimsim.bench as bench
 from oimsim import (BenchmarkSpec, Complete, DynamicsParams, IsingProblem,
                     KsSchedule, SpecificationError, WeightedGraph,
                     ablation_compare, default_catalog, export, hamiltonian,
-                    histogram, maxcut_to_ising, random_ising, random_spins,
-                    run_benchmark, write_export)
+                    histogram, load_ising_json, maxcut_to_ising, random_ising,
+                    random_spins, run_benchmark, write_export)
 
 
 def quick_params(cycles=20.0):
@@ -289,6 +290,23 @@ class TestExport:
         meta = json.loads(export(run_benchmark(spec)))["meta"]
         assert DynamicsParams.from_config(meta["params"]) == params
 
+    @pytest.mark.parametrize("name, level", [("v2_no_sync", 0.0), ("v2_constant", 0.8)])
+    def test_version_2_export_reproduces_its_runs(self, name, level):
+        # tests/data/v2_*.json were written by `oimsim solve` (argv in meta)
+        # when params held "sync_enabled" and a Ks "kind"; v2_no_sync ran
+        # --no-sync with a ramp to level 1 over cycles 0-2
+        data = Path(__file__).parent / "data"
+        obj = json.loads((data / f"{name}.json").read_text())
+        meta, (recorded,) = obj["meta"], obj["problems"]
+        params = DynamicsParams.from_config(meta["params"])
+        assert params.ks_schedule.level == level
+        spec = BenchmarkSpec(problems=((recorded["name"], load_ising_json(data / meta["input"])),),
+                             params=params, runs=meta["runs"], seed_base=meta["seed_base"])
+        (rerun,) = run_benchmark(spec).problems
+        assert [{"seed": r.seed, "H": r.H, "cut": r.cut} for r in rerun.records] \
+            == recorded["per_run"]
+        assert [int(v) for v in rerun.best_spins] == recorded["best_spins"]
+
     def test_write_with_sidecar(self, ferro_summary, tmp_path):
         out = tmp_path / "summary.csv"
         write_export(ferro_summary, "csv", out)
@@ -329,8 +347,8 @@ class TestSpecVariants:
     def test_equal_separate_runs(self, parallelism):
         specs = variant_specs(self.problems())
         together = run_benchmark(specs, parallelism=parallelism)
-        assert [(s.params_config["sync_enabled"], s.params_config["variability_pct"])
-                for s in together] == [(True, 0.0), (False, 0.0), (True, 0.03)]
+        assert [(s.params_config["ks"]["level"], s.params_config["variability_pct"])
+                for s in together] == [(1.0, 0.0), (0.0, 0.0), (1.0, 0.03)]
         for spec, summary in zip(specs, together, strict=True):
             alone = run_benchmark(spec)
             assert rows(summary) == rows(alone)

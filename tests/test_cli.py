@@ -89,7 +89,8 @@ class TestSolve:
         assert code == 0
         meta = json.loads(out.read_text())["meta"]
         assert "mode" not in meta
-        assert meta["params"]["sync_enabled"] is False
+        assert "sync_enabled" not in meta["params"]
+        assert meta["params"]["ks"]["level"] == 0.0
         assert meta["params"]["variability_pct"] == 0.05
 
     def test_ks_ramp_flag(self, ferro_json, tmp_path):
@@ -99,7 +100,7 @@ class TestSolve:
                     "--ks-ramp", "linear:0:10", "--threads", "1", "--out", out])
         assert code == 0
         ks = json.loads(out.read_text())["meta"]["params"]["ks"]
-        assert ks == {"kind": "ramp", "t0": 0.0, "t1": 10.0, "level": 1.5}
+        assert ks == {"t0": 0.0, "t1": 10.0, "level": 1.5}
 
     def test_bad_ramp_is_usage_error(self, ferro_json):
         assert run(["solve", "--input", ferro_json, "--ks-ramp", "exp:1:2"]) == 2
@@ -182,6 +183,13 @@ class TestOracle:
                     "--t0", "2.0", "--t1", "0.01", "--moves-per-temp", "10",
                     "--seed", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["best_H"] == -1
+
+    @pytest.mark.parametrize("flag", ["--t0", "--t1"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_sa_non_finite_temperature_is_usage_error(self, ferro_json, capsys, flag, value):
+        assert run(["oracle", "sa", "--input", ferro_json, "--iters", "100",
+                    flag, value]) == 2
+        assert "must be finite" in capsys.readouterr().err
 
 
 class TestBench:
@@ -303,15 +311,23 @@ class TestPaths:
         monkeypatch.setattr("oimsim.cli.run_benchmark", refuse)
 
     @pytest.mark.usefixtures("no_runs")
-    @pytest.mark.parametrize("flag, path", [("--out", "missing/x.json"), ("--trace", "dir")])
+    @pytest.mark.parametrize("flags, unwritable", [
+        (["--out", "missing/x.json"], "missing/x.json"),
+        (["--trace", "dir"], "dir"),
+        (["--out", "r.csv", "--out-format", "csv"], "r.csv.meta.json"),
+    ], ids=["--out-missing/x.json", "--trace-dir", "--out-csv-sidecar-dir"])
     def test_output_path_checked_before_the_run(self, ferro_json, tmp_path, capsys,
-                                                flag, path):
+                                                flags, unwritable):
         (tmp_path / "dir").mkdir()
-        target = tmp_path / path
-        assert run(["solve", "--input", ferro_json, flag, target] + self.QUICK) == 2
+        (tmp_path / "r.csv.meta.json").mkdir()
+        flag, path, *rest = flags
+        assert run(["solve", "--input", ferro_json, flag, tmp_path / path, *rest]
+                   + self.QUICK) == 2
         errors = capsys.readouterr().err.splitlines()
+        target = tmp_path / unwritable
         assert len(errors) == 1 and errors[0].startswith(f"oimsim: cannot write {target}: ")
         assert not (tmp_path / "missing").exists()
+        assert not (tmp_path / "r.csv").exists()
 
     def test_failed_run_keeps_existing_outputs(self, ferro_json, tmp_path, monkeypatch):
         def diverge(*args, **kwargs):

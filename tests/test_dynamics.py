@@ -52,6 +52,38 @@ class TestKsSchedule:
         out = ks_value(s, np.array([0.0, 5.0, 20.0]))
         assert np.allclose(out, [0.0, 0.5, 1.0])
 
+    @pytest.mark.parametrize("t0, t1", [(-1.0, 2.0), (3.0, 2.0), (math.nan, 2.0),
+                                        (0.0, math.inf), (math.inf, math.inf)])
+    def test_ramp_times_are_checked(self, t0, t1):
+        from oimsim import SpecificationError
+        with pytest.raises(SpecificationError, match="ramp"):
+            KsSchedule.ramp(t0, t1, 1.0)
+
+    def test_constant_is_the_step_at_zero(self):
+        assert KsSchedule.constant(2.0) == KsSchedule.ramp(0, 0, 2.0)
+        assert KsSchedule.constant(2.0).to_config() == {"t0": 0.0, "t1": 0.0, "level": 2.0}
+
+    # params as result files of defaults version 2 recorded them
+    V2_CONFIG = {"K": 1.0, "ks": {"kind": "ramp", "t0": 0.0, "t1": 2.0, "level": 1.5},
+                 "noise_amp": 0.1, "variability_pct": 0.0, "cycles": 1000.0,
+                 "steps_per_cycle": 100, "sync_enabled": True, "normalize_by_degree": False}
+
+    def test_version_2_constant_config(self):
+        cfg = dict(self.V2_CONFIG, ks={"kind": "constant", "level": 2.0})
+        s = DynamicsParams.from_config(cfg).ks_schedule
+        assert s == KsSchedule.constant(2.0)
+        assert ks_value(s, 0.0) == ks_value(s, 5.0) == 2.0
+
+    def test_version_2_ramp_config(self):
+        prm = DynamicsParams.from_config(self.V2_CONFIG)
+        assert prm.ks_schedule == KsSchedule.ramp(0.0, 2.0, 1.5)
+        assert "sync_enabled" not in prm.to_config() and "kind" not in prm.to_config()["ks"]
+
+    def test_version_2_sync_off_is_level_zero(self):
+        prm = DynamicsParams.from_config(dict(self.V2_CONFIG, sync_enabled=False))
+        assert prm.ks_schedule.level == 0.0
+        assert prm == DynamicsParams.from_config(self.V2_CONFIG).without_sync()
+
 
 class TestDrift:
     def test_antiphase_is_equilibrium(self):
@@ -73,11 +105,8 @@ class TestDrift:
         assert np.allclose(d, [-1.0])
 
     def test_no_sync_equals_zero_ks(self):
-        p = random_problem(8, 3)
-        st = PhaseState(np.random.default_rng(0).uniform(0, 2 * np.pi, 8))
-        off = drift(p, st, DynamicsParams(sync_enabled=False))
-        zero = drift(p, st, params_with(ks_level=0.0))
-        assert np.array_equal(off, zero)
+        # SYNC off is Ks level 0: the same params, not a second setting
+        assert DynamicsParams().without_sync() == params_with(ks_level=0.0)
 
     def test_detuning_adds(self):
         p = IsingProblem(2, [(0, 1, 1.0)])
@@ -178,6 +207,12 @@ class TestStep:
         prm = params_with(ks_level=0.0, noise_amp=0.5)
         nxt = step(st, p, prm, rng=np.random.default_rng(0))
         assert 0 <= nxt.phases[0] < 2 * np.pi
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_time_must_be_finite_and_not_negative(self, bad):
+        from oimsim import SpecificationError
+        with pytest.raises(SpecificationError, match="time"):
+            PhaseState(np.zeros(2), bad)
 
 
 class TestRoundPhases:
@@ -434,7 +469,7 @@ class TestLyapunovDescent:
 class TestAblationNonBinary:
     def test_no_sync_leaves_phases_spread(self):
         torus = random_ising(100, Torus(10, 10), seed=0)
-        prm = DynamicsParams(cycles=50.0, sync_enabled=False)
+        prm = DynamicsParams(cycles=50.0).without_sync()
         from oimsim.dynamics import _integrate_batch
         Phi, _ = _integrate_batch(torus, prm, [0, 1, 2])
         frac = np.mean(np.abs(np.cos(Phi)) < 0.9)

@@ -127,6 +127,17 @@ class TestSimulatedAnnealing:
         with pytest.raises(SpecificationError):
             SaParams(iterations=10, T_initial=1e-4, T_final=1e-3)
 
+    @pytest.mark.parametrize("kw", [
+        {"T_final": float("nan")}, {"T_final": float("inf")},
+        {"T_initial": float("nan")}, {"T_initial": float("inf")},
+        {"iterations": 2.5}, {"iterations": "10"}, {"moves_per_temp": 2.5},
+        {"moves_per_temp": 0},
+    ], ids=str)
+    def test_param_checks(self, kw):
+        from oimsim import SpecificationError
+        with pytest.raises(SpecificationError):
+            SaParams(**{"iterations": 10, **kw})
+
     def test_long_run_preset(self):
         sa = SaParams.long_run(flips=12345, seed=9)
         assert sa.iterations == 12345 and sa.seed == 9
