@@ -19,9 +19,8 @@ from .io import (parse_gset, write_gset, load_gset, read_ising_json,
                  write_ising_json, load_ising_json, BestKnownCatalog,
                  load_catalog, default_catalog)
 from .dynamics import (DEFAULTS, KsSchedule, DynamicsParams, PhaseState,
-                       RunResult, EnergyTrace, ks_value, sample_detuning,
-                       drift, lyapunov, step, round_phases, simulate,
-                       run_seeds)
+                       RunResult, EnergyTrace, sample_detuning, drift,
+                       lyapunov, step, round_phases, simulate, run_seeds)
 from .oracles import (BruteForceResult, brute_force, SaParams,
                       simulated_annealing, greedy_descent)
 from .bench import (BenchmarkSpec, RunRecord, ProblemStats, RunSummary,
@@ -39,7 +38,7 @@ __all__ = [
     "write_ising_json", "load_ising_json", "BestKnownCatalog",
     "load_catalog", "default_catalog",
     "DEFAULTS", "KsSchedule", "DynamicsParams", "PhaseState", "RunResult",
-    "EnergyTrace", "ks_value", "sample_detuning", "drift", "lyapunov",
+    "EnergyTrace", "sample_detuning", "drift", "lyapunov",
     "step", "round_phases", "simulate", "run_seeds",
     "BruteForceResult", "brute_force", "SaParams", "simulated_annealing",
     "greedy_descent",

@@ -35,15 +35,15 @@ _steps's float operations in its order. Its workspace has one row
 [cos phi_j | sin phi_j] per oscillator, so each coupling is one
 contiguous read that feeds both sums.
 Each block's draws go, seed by seed, into one reused seed-major buffer
-that holds each problem's (steps, spins) draws contiguously, and both
-paths read them from there; seed slices run side by side on threads (see
-_integrate_batch). The kernel is compiled once per machine (cc -O3
--ffp-contract=off) into $XDG_CACHE_HOME/oimsim or ~/.cache/oimsim (delete
-it to rebuild) and loaded with ctypes only if a self-check finds numpy's
-bits on a probe. Else the numpy loop integrates: silently without a
-compiler or writable cache, with a RuntimeWarning after a failed
-self-check. drift(), lyapunov() and step() always use numpy. Randomness
-is split into independent substreams of the run seed,
+with one (steps, spins) region per distinct problem size, which each
+problem of that size reads on both paths; seed slices run side by side on
+threads (see _integrate_batch). The kernel is compiled once per machine
+(cc -O3 -ffp-contract=off) into $XDG_CACHE_HOME/oimsim or ~/.cache/oimsim
+(delete it to rebuild) and loaded with ctypes only if a self-check finds
+numpy's bits on a probe. Else the numpy loop integrates: silently without
+a compiler or writable cache, with a RuntimeWarning after a failed
+self-check. drift(), lyapunov() and step() always use numpy. Randomness is
+split into independent substreams of the run seed,
 Generator(PCG64(SeedSequence((seed, stream)))), with stream 0 = initial
 phases, 1 = detuning, 2 = integration noise. Runs are bit-reproducible for
 a fixed (problem, params, seed) on a given platform.
@@ -82,7 +82,6 @@ __all__ = [
     "PhaseState",
     "RunResult",
     "EnergyTrace",
-    "ks_value",
     "sample_detuning",
     "drift",
     "lyapunov",
@@ -166,12 +165,6 @@ class KsSchedule:
         else:
             frac = np.clip((t - self.t0) / width, 0.0, 1.0)
         return self.level * frac
-
-
-def ks_value(schedule, t):
-    """Evaluate a Ks schedule at time t."""
-    out = schedule.value(t)
-    return float(out) if np.isscalar(t) else out
 
 
 def _default_ks():
@@ -407,10 +400,13 @@ def _steps(Phi, adj, h_col, Kdt, dt_dw, noise, ks_cols):
 
 
 def _noise_rows(sizes, L):
-    """Each row's (base, stride) into a seed-major (B, L * n) draw block
-    that holds each problem's (L, m) draws contiguously, in group order."""
-    first = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
-    return (L - 1) * first + np.arange(len(first)), np.repeat(sizes, sizes)
+    """Each row's (base, stride) into a seed-major (B, L * sum of distinct
+    sizes) draw block that holds one (L, m) region per distinct size m, in
+    order of first appearance, read by every problem of that size."""
+    distinct = list(dict.fromkeys(sizes))
+    start = dict(zip(distinct, L * np.cumsum([0] + distinct[:-1])))
+    return (np.concatenate([start[m] + np.arange(m) for m in sizes]),
+            np.repeat(sizes, sizes))
 
 
 def _usable_cpus():
@@ -541,11 +537,13 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     spins in order, so each (problem, seed) block is one run. `params` is
     one DynamicsParams or a tuple of V variants (see _SHARED); each variant
     is a block of B = len(seeds) columns, variant-major, and all variants
-    share each seed's initial phases and noise draws. Every block draws
-    from its own seed substreams, and each row of the block-diagonal
-    product sums the same entries in the same order as the problem's own
-    matrix, so a run's result does not depend on which runs, problems or
-    variants share the batch, or on which thread's slice of seeds.
+    share each seed's initial phases and noise draws. A substream's values
+    depend only on its seed and on how many are drawn, so each seed draws
+    once per distinct problem size, and the problems of that size all read
+    the draws they would make alone. Each row of the block-diagonal product
+    sums the same entries in the same order as the problem's own matrix, so
+    a run's result does not depend on which runs, problems or variants share
+    the batch, or on which thread's slice of seeds.
     Returns (Phi, trace) with Phi of shape (sum of n, V*B); trace is None
     when trace_points is 0, else (times, E, H), one value per sample, taken
     as simulate() documents. A trace covers one run: one problem, one
@@ -564,12 +562,15 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     if _integer(trace_points, "trace_points", 0) and (len(group), V, B) != (1, 1, 1):
         raise SpecificationError("an energy trace covers a single run (problem, variant, seed)")
 
+    distinct = list(dict.fromkeys(sizes))
+    rows = _noise_rows(sizes, 1)[0]  # row i reads value rows[i] of a seed's per-size draws
+    per_size = lambda draw: np.concatenate([draw(m) for m in distinct])[rows]  # noqa: E731
+
     Phi = np.empty((n, V * B))
     first = Phi[:, :B]
     if initial_phases is None:
         for b, seed in enumerate(seeds):
-            for off, m in zip(offsets, sizes):
-                first[off:off + m, b] = _substream(seed, _STREAM_INIT).random(m) * TWO_PI
+            first[:, b] = per_size(lambda m: _substream(seed, _STREAM_INIT).random(m) * TWO_PI)
     else:
         init = np.asarray(initial_phases, dtype=np.float64)
         if init.shape == (n,):
@@ -588,13 +589,12 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     dw = np.zeros((n, V * B))
     for v, prm in enumerate(variants):
         for b, seed in enumerate(seeds):
-            for off, m in zip(offsets, sizes):
-                dw[off:off + m, v * B + b] = sample_detuning(m, prm.variability_pct, seed)
+            dw[:, v * B + b] = per_size(lambda m: sample_detuning(m, prm.variability_pct, seed))
     dt_dw = dt * dw
 
     gens = [] if params.noise_amp == 0 else [
         (b, off, m, _substream(seed, _STREAM_NOISE)) for b, seed in enumerate(seeds)
-        for off, m in zip(offsets, sizes)]
+        for off, m in zip(np.cumsum([0] + distinct[:-1]), distinct)]
 
     h_col = _field_col(group)
     adj = sp.block_diag([p.adjacency for p in group], format="csr")
@@ -603,8 +603,9 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     with _kernel_lock:  # lru_cache is no lock: threads on a cold cache would each build
         bind = _load_kernel() or (lambda *args: partial(_steps, *args))  # numpy, alike
 
-    chunk = max(1, min(256, _MAX_NOISE_DOUBLES // max(1, n * B)))
-    draws = np.zeros((B, chunk * n))  # reused by every block; never drawn into without noise
+    nd = sum(distinct)  # draws per seed and step
+    chunk = max(1, min(256, _MAX_NOISE_DOUBLES // max(1, nd * B)))
+    draws = np.zeros((B, chunk * nd))  # reused by every block; never drawn into without noise
     noise = (*_noise_rows(sizes, chunk), params.noise_amp * math.sqrt(dt))
     # an energy trace samples (time, E, rounded H) at block ends: every
     # multiple of `every` steps (from 0 when trace_points > 1) and the end
@@ -626,7 +627,7 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
             if done == total_steps:
                 break
             L = min(chunk, total_steps - done, every - done % every)
-            for b, off, m, gen in gens[b0 * len(group):b1 * len(group)]:
+            for b, off, m, gen in gens[b0 * len(distinct):b1 * len(distinct)]:
                 gen.standard_normal(out=draws[b, chunk * off:chunk * off + L * m])
             # 2*Ks*dt per (step, column), 0.0 where SYNC is off
             t = (done + np.arange(L)) * dt

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from oimsim import (Complete, DynamicsParams, IsingProblem, KsSchedule,
                     NumericalDivergenceError, PhaseState, Torus, drift,
-                    hamiltonian, ks_value, lyapunov, random_ising,
-                    round_phases, run_seeds, sample_detuning, simulate, step)
+                    hamiltonian, lyapunov, random_ising, round_phases,
+                    run_seeds, sample_detuning, simulate, step)
 from oimsim.dynamics import _STREAM_INIT, _STREAM_NOISE, _substream
 
 
@@ -33,23 +33,23 @@ class TestKsSchedule:
     def test_constant(self):
         s = KsSchedule.constant(1.0)
         for t in (0.0, 123.4, 1000.0):
-            assert ks_value(s, t) == 1.0
+            assert float(s.value(t)) == 1.0
 
     def test_ramp_interpolates(self):
         s = KsSchedule.ramp(0, 250, 1.0)
-        assert ks_value(s, 125) == 0.5
-        assert ks_value(s, 0) == 0.0
-        assert ks_value(s, 1000) == 1.0
+        assert float(s.value(125)) == 0.5
+        assert float(s.value(0)) == 0.0
+        assert float(s.value(1000)) == 1.0
 
     def test_ramp_before_start(self):
         s = KsSchedule.ramp(100, 200, 2.0)
-        assert ks_value(s, 50) == 0.0
-        assert ks_value(s, 150) == 1.0
-        assert ks_value(s, 300) == 2.0
+        assert float(s.value(50)) == 0.0
+        assert float(s.value(150)) == 1.0
+        assert float(s.value(300)) == 2.0
 
     def test_vectorized(self):
         s = KsSchedule.ramp(0, 10, 1.0)
-        out = ks_value(s, np.array([0.0, 5.0, 20.0]))
+        out = s.value(np.array([0.0, 5.0, 20.0]))
         assert np.allclose(out, [0.0, 0.5, 1.0])
 
     @pytest.mark.parametrize("t0, t1", [(-1.0, 2.0), (3.0, 2.0), (math.nan, 2.0),
@@ -72,7 +72,7 @@ class TestKsSchedule:
         cfg = dict(self.V2_CONFIG, ks={"kind": "constant", "level": 2.0})
         s = DynamicsParams.from_config(cfg).ks_schedule
         assert s == KsSchedule.constant(2.0)
-        assert ks_value(s, 0.0) == ks_value(s, 5.0) == 2.0
+        assert float(s.value(0.0)) == float(s.value(5.0)) == 2.0
 
     def test_version_2_ramp_config(self):
         prm = DynamicsParams.from_config(self.V2_CONFIG)
