@@ -33,7 +33,9 @@ zeros where a term is off, which the wrap makes exact. The batch
 integrator runs each noise block through one call of _step.c, which does
 _steps's float operations in its order. Its workspace has one row
 [cos phi_j | sin phi_j] per oscillator, so each coupling is one
-contiguous read that feeds both sums.
+contiguous read that feeds both sums. It fills the rows calling libm's
+sincos in the order of the phases' bins of [0, 2*pi), as sincos branches
+on range and quadrant; the order of calls changes no bit.
 Each block's draws go, seed by seed, into one reused seed-major buffer
 with one (steps, spins) region per distinct problem size, which each
 problem of that size reads on both paths; seed slices run side by side on
@@ -444,7 +446,7 @@ def _load_kernel():
         fn = ctypes.CDLL(str(lib)).oim_steps
     except (OSError, subprocess.SubprocessError):  # also: no cc on PATH
         return None
-    fn.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] + [ctypes.c_void_p] * 12
+    fn.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] + [ctypes.c_void_p] * 15
     fn.restype = None
 
     def kernel(Phi, adj, h_col, Kdt, dt_dw, noise):
@@ -457,7 +459,8 @@ def _load_kernel():
         keep = [Phi, cast(adj.indptr, n + 1, np.int64), cast(adj.indices, adj.nnz, np.int64),
                 cast(adj.data, adj.nnz), cast(h_col, (n, 1)), cast(Kdt, (n, 1)),
                 cast(dt_dw, (n, C)), z, cast(base, n, np.int64), cast(stride, n, np.int64),
-                np.empty((n + 1, 2 * C))]
+                np.empty((n + 1, 2 * C)), np.empty(n * C), np.empty(n * C, np.int64),
+                np.empty(n * C, np.uint8)]  # workspace, then the sincos order's scratch
         if any(a.dtype != np.float64 or not a.flags.c_contiguous for a in (Phi, z)) or C % B:
             raise ValueError("the step kernel needs C-ordered float64 phases and draws")
         ptrs = [a.ctypes.data for a in keep]  # advance holds keep
@@ -510,7 +513,10 @@ def step(state, problem, params, detuning=None, rng=None):
 
 
 def _as_group(problem):
-    return (problem,) if isinstance(problem, IsingProblem) else tuple(problem)
+    group = (problem,) if isinstance(problem, IsingProblem) else tuple(problem)
+    if not group:
+        raise SpecificationError("at least one IsingProblem is needed")
+    return group
 
 
 # what the variants of one batch must share: they differ only in the Ks

@@ -1,0 +1,35 @@
+"""The CI workflow runs the commands the project documents.
+
+The workflow only runs on the hosted runner, so these checks are the local
+guard against its commands drifting from ROADMAP.md's tier-1 command.
+"""
+
+import re
+
+import pytest
+
+from conftest import REPO_ROOT
+
+WORKFLOW = REPO_ROOT / ".github" / "workflows" / "tests.yml"
+
+
+def tier1_command():
+    text = (REPO_ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    found = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", text)
+    assert found, "ROADMAP.md gives no tier-1 command"
+    return found.group(1)
+
+
+def test_workflow_runs_the_tier1_command():
+    assert tier1_command() in WORKFLOW.read_text(encoding="utf-8")
+
+
+def test_workflow_runs_the_benchmark_tests():
+    assert "python -m pytest -q perfbench/tests" in WORKFLOW.read_text(encoding="utf-8")
+
+
+def test_workflow_parses():
+    yaml = pytest.importorskip("yaml")
+    doc = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    runs = [s.get("run", "") for job in doc["jobs"].values() for s in job["steps"]]
+    assert any(tier1_command() in r for r in runs)

@@ -424,6 +424,13 @@ class TestPackedGroups:
         assert packed[0].final_cut is None
         assert packed[2].final_cut == (3 - packed[2].final_H) / 2
 
+    def test_empty_group_rejected(self):
+        from oimsim import SpecificationError
+        with pytest.raises(SpecificationError, match="IsingProblem"):
+            run_seeds([], params_with(cycles=1.0), [1])
+        with pytest.raises(SpecificationError, match="IsingProblem"):
+            simulate([], params_with(cycles=1.0))
+
     def test_trace_needs_one_problem(self):
         # a trace covers one run: two problems, several seeds or several
         # variants are each rejected

@@ -7,9 +7,11 @@ of _steps is the reference. Every test here asks for equal bits.
 import dataclasses
 import os
 import shutil
+import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,13 +389,19 @@ class TestSeedSlices:
         assert [t for _, t in slices] == [1, 2, 2, 4]
 
 
+# phases on the edges of the kernel's 64 sincos bins of [0, 2*pi): 2*pi
+# itself is bin 64 by the float product, one too many
+EDGES = [0.0, np.nextafter(TWO_PI, 0.0), TWO_PI, np.nextafter(TWO_PI, 7.0), -1e-300,
+         TWO_PI * 63 / 64, TWO_PI * 63.5 / 64, np.nextafter(TWO_PI * 63 / 64, 0.0)]
+
+
 @st.composite
 def probes(draw):
     """A phase matrix and one noise block's stepping arguments, for a packed
     group of 1-4 problems whose sizes may repeat (rows of equal-size problems
     share their draws), C up to 20 columns, and draws that may start at a
     step offset into a longer block (the integrator always reads from offset
-    0; the kernel takes any base)."""
+    0; the kernel takes any base). Half the phases may sit on EDGES."""
     sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
     n = sum(sizes)
     B = draw(st.integers(1, 5))
@@ -414,6 +422,9 @@ def probes(draw):
     z = z if draw(st.booleans()) else np.zeros_like(z)
     noise = (z, base + skip * stride, stride, draw(st.sampled_from([0.0, 0.1, 10.0])))
     Phi = rng.uniform(-draw(st.sampled_from([TWO_PI, 100.0])), 2 * TWO_PI, (n, C))
+    if draw(st.booleans()):
+        at = rng.random((n, C)) < 0.5
+        Phi[at] = rng.choice(EDGES, at.sum())
     return Phi, (adj, h_col, Kdt, dt_dw, noise), ks_cols
 
 
@@ -426,3 +437,52 @@ def test_kernel_equals_numpy_steps(probe):
     dyn._steps(ref, *args, ks_cols)
     kernel(out, *args)(ks_cols)
     assert ref.tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_equals_numpy_steps_on_non_finite_phases(seed):
+    # NaN and +-inf phases go to the first sincos bin, beside every bin edge,
+    # and spread through the sparse sums as they do in numpy
+    kernel = kernel_or_skip()
+    rng = np.random.default_rng(seed)
+    n, C, L = 7, 6, 3
+    Phi = rng.uniform(0.0, TWO_PI, (n, C))
+    Phi.flat[rng.choice(n * C, len(EDGES) + 3, replace=False)] = EDGES + [np.nan, np.inf, -np.inf]
+    adj = sp.csr_matrix(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.3))
+    noise = (rng.normal(size=(2, L * n)), *dyn._noise_rows([n], L), 0.1)
+    args = (adj, rng.normal(size=(n, 1)), rng.uniform(0.0, 0.2, (n, 1)),
+            rng.normal(0.0, 0.1, (n, C)), noise)
+    ks_cols = rng.uniform(0.0, 0.2, (L, C))
+    ref, out = Phi.copy(), Phi.copy()
+    with np.errstate(invalid="ignore"):
+        dyn._steps(ref, *args, ks_cols)
+    kernel(out, *args)(ks_cols)
+    assert np.isnan(ref).any() and np.isfinite(ref).any()
+    assert ref.tobytes() == out.tobytes()
+
+
+def test_sanitized_kernel_equals_numpy_steps(tmp_path):
+    # the tests above on a build that aborts on an index out of an array's
+    # bounds or a float (NaN too) cast to an int it cannot hold: a counting
+    # sort that writes past its counts, or a bin key cast from NaN, fails here
+    # even where it leaves the bits alone
+    kernel_or_skip()
+    script = f"""
+import sys
+sys.path[:0] = {[str(Path(__file__).parent), *sys.path]!r}
+import test_kernel as t
+real = t.dyn.subprocess.run
+sanitize = ["-fsanitize=bounds,float-cast-overflow", "-fno-sanitize-recover=all"]
+t.dyn.subprocess.run = lambda cmd, **kw: real([cmd[0], *sanitize, *cmd[1:]], **kw)
+if t.dyn._load_kernel() is None:
+    sys.exit(3)
+t.test_kernel_equals_numpy_steps()
+for seed in range(4):
+    t.test_kernel_equals_numpy_steps_on_non_finite_phases(seed)
+"""
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=600)
+    if run.returncode == 3:
+        pytest.skip("the compiler cannot build the kernel with these checks")
+    assert run.returncode == 0, run.stderr[-3000:]
