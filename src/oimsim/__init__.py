@@ -21,8 +21,7 @@ from .io import (parse_gset, write_gset, load_gset, read_ising_json,
 from .dynamics import (DEFAULTS, KsSchedule, DynamicsParams, PhaseState,
                        RunResult, EnergyTrace, sample_detuning, drift,
                        lyapunov, step, round_phases, simulate, run_seeds)
-from .oracles import (BruteForceResult, brute_force, SaParams,
-                      simulated_annealing, greedy_descent)
+from .oracles import BruteForceResult, brute_force, SaParams, simulated_annealing
 from .bench import (BenchmarkSpec, RunRecord, ProblemStats, RunSummary,
                     EnergyHistogram, run_benchmark, histogram,
                     ablation_compare, AblationResult, export, write_export)
@@ -41,7 +40,6 @@ __all__ = [
     "EnergyTrace", "sample_detuning", "drift", "lyapunov",
     "step", "round_phases", "simulate", "run_seeds",
     "BruteForceResult", "brute_force", "SaParams", "simulated_annealing",
-    "greedy_descent",
     "BenchmarkSpec", "RunRecord", "ProblemStats", "RunSummary",
     "EnergyHistogram", "run_benchmark", "histogram", "ablation_compare",
     "AblationResult", "export", "write_export",

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__ as _version
-from .dynamics import DynamicsParams, _as_variants, _share_cpus, _usable_cpus, run_seeds
+from .dynamics import (DynamicsParams, _as_variants, _share_cpus, _usable_cpus, _weights,
+                       run_seeds)
 from .errors import SpecificationError, _integer
 from .io import BestKnownCatalog
 from .oracles import brute_force
@@ -52,9 +53,9 @@ class BenchmarkSpec:
     """What to run: problems, dynamics parameters, seeds, reference.
 
     problems entries are (name, IsingProblem) or (name, IsingProblem,
-    total_weight); a total_weight enables cut reporting. oracle is None,
-    "brute" (exact minimum, small n), or a BestKnownCatalog keyed by
-    problem name.
+    total_weight); a total_weight, None or a finite real number, enables
+    cut reporting. oracle is None, "brute" (exact minimum, small n), or a
+    BestKnownCatalog keyed by problem name.
     """
 
     problems: tuple
@@ -70,14 +71,13 @@ class BenchmarkSpec:
         _integer(self.seed_base, "seed_base", 0)
         norm = []
         for entry in self.problems:
-            if len(entry) == 2:
-                name, problem = entry
-                tw = None
-            else:
-                name, problem, tw = entry
+            if not (isinstance(entry, (tuple, list)) and len(entry) in (2, 3)):
+                raise SpecificationError(
+                    "each problem entry is (name, IsingProblem[, total_weight])")
+            name, problem, *tw = entry
             if not isinstance(problem, IsingProblem):
                 raise SpecificationError(f"problem {name!r} is not an IsingProblem")
-            norm.append((str(name), problem, tw))
+            norm.append((str(name), problem, *_weights(tw or None, 1)))
         object.__setattr__(self, "problems", tuple(norm))
 
     def seeds(self):

@@ -58,6 +58,7 @@ import ctypes
 import hashlib
 import json
 import math
+import numbers
 import os
 import subprocess
 import tempfile
@@ -74,7 +75,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionError, NumericalDivergenceError, SpecificationError, _integer
-from .oracles import greedy_descent
 from .problems import IsingProblem, hamiltonian, cut_from_hamiltonian
 
 __all__ = [
@@ -288,8 +288,8 @@ def sample_detuning(n, variability_pct, seed):
     dw_i = 2*pi*delta_i with delta_i ~ Normal(0, variability_pct^2), i.i.d.
     Deterministic in seed; exactly zero when variability_pct == 0.
     """
-    if variability_pct < 0:
-        raise SpecificationError("variability_pct must be >= 0")
+    if not (math.isfinite(variability_pct) and variability_pct >= 0):
+        raise SpecificationError("variability_pct must be finite and >= 0")
     if variability_pct == 0:
         return np.zeros(n)
     rng = _substream(seed, _STREAM_DETUNE)
@@ -508,7 +508,7 @@ def step(state, problem, params, detuning=None, rng=None):
     adj, h_col, Kdt, ks2dt = _kernel_args(problem, params, state.time, dt)
     Phi = Phi.copy()
     _steps(Phi, adj, h_col, Kdt, dt * dw,
-           (z, *_noise_rows([problem.n], 1), params.noise_amp * math.sqrt(dt)), [ks2dt])
+           (z, np.arange(problem.n), 0, params.noise_amp * math.sqrt(dt)), [ks2dt])
     return PhaseState(Phi[:, 0], state.time + dt)
 
 
@@ -517,6 +517,22 @@ def _as_group(problem):
     if not group:
         raise SpecificationError("at least one IsingProblem is needed")
     return group
+
+
+def _weights(total_weight, count):
+    """total_weight as a tuple of count cut weights, each None or a finite
+    real number; None gives count Nones. Else SpecificationError."""
+    weights = (None,) * count if total_weight is None else (
+        tuple(total_weight) if np.iterable(total_weight) else ())
+    try:
+        ok = len(weights) == count and all(
+            w is None or isinstance(w, numbers.Real) and math.isfinite(w) for w in weights)
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise SpecificationError(f"total_weight must give each of {count} problem(s) None "
+                                 "or a finite real number")
+    return weights
 
 
 # what the variants of one batch must share: they differ only in the Ks
@@ -666,22 +682,19 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     return Phi, tuple(np.array(x) for x in zip(*samples)) if trace_points else None
 
 
-def _runs(problem, params, seeds, total_weight, polish,
-          initial_phases=None, trace_points=0):
+def _runs(problem, params, seeds, total_weight, initial_phases=None, trace_points=0):
     """Integrate a batch and build one RunResult per (variant, problem, seed).
 
-    Rounds the final phases, applies polish, scores H and the cut, splits
-    the integration's wall time evenly over the runs and attaches the
-    energy trace, when there is one (a trace covers a single run).
+    Rounds the final phases, scores H and the cut, splits the integration's
+    wall time evenly over the runs and attaches the energy trace, when
+    there is one (a trace covers a single run).
     """
     group = _as_group(problem)
     variants = _as_variants(params)
     for seed in seeds:
         _integer(seed, "seed", 0)
-    if isinstance(problem, IsingProblem):
-        total_weight = (total_weight,)
-    elif total_weight is None:
-        total_weight = (None,) * len(group)
+    weights = _weights((total_weight,) if isinstance(problem, IsingProblem) else total_weight,
+                       len(group))
     B = len(seeds)
     t0 = time.perf_counter()
     Phi, trace = _integrate_batch(group, variants, seeds, initial_phases=initial_phases,
@@ -692,11 +705,9 @@ def _runs(problem, params, seeds, total_weight, polish,
     out = []
     for v in range(len(variants)):
         row = 0
-        for p, tw in zip(group, total_weight, strict=True):
+        for p, tw in zip(group, weights):
             for b, seed in enumerate(seeds):
                 spins = spins_mat[row:row + p.n, v * B + b]
-                if polish:
-                    spins, _ = greedy_descent(p, spins)
                 H = hamiltonian(p, spins)
                 cut = cut_from_hamiltonian(H, tw) if tw is not None else None
                 out.append(RunResult(final_spins=spins, final_H=H, final_cut=cut,
@@ -707,7 +718,7 @@ def _runs(problem, params, seeds, total_weight, polish,
 
 
 def simulate(problem, params=None, seed=0, *, total_weight=None,
-             trace_points=0, initial_phases=None, polish=False):
+             trace_points=0, initial_phases=None):
     """Run one full simulation and threshold the final phases to spins.
 
     Phases start i.i.d. uniform on [0, 2*pi) (from the seed's init stream,
@@ -721,23 +732,21 @@ def simulate(problem, params=None, seed=0, *, total_weight=None,
     last at the final step. With 2 or more points they are taken every s =
     ceil(total_steps / (trace_points - 1)) steps from t = 0, at the ends of
     noise blocks cut to that length, plus the final step when s does not
-    divide total_steps; with 1 point, only the final step. polish=True
-    applies single-flip greedy descent to the rounded spins (off by
-    default: raw thresholded dynamics output).
+    divide total_steps; with 1 point, only the final step.
     """
     if params is None:
         params = DynamicsParams()
-    return _runs(problem, params, [seed], total_weight, polish,
-                 initial_phases=initial_phases, trace_points=trace_points)[0]
+    return _runs(problem, params, [seed], total_weight, initial_phases=initial_phases,
+                 trace_points=trace_points)[0]
 
 
-def run_seeds(problem, params, seeds, *, total_weight=None, polish=False):
+def run_seeds(problem, params, seeds, *, total_weight=None):
     """Simulate several seeds batched as one vectorized integration.
 
     `problem` is one IsingProblem or a group (sequence) of them, packed
     into one block-diagonal integration; for a group, total_weight is None
-    or one entry (None or a weight) per problem. `params` is one
-    DynamicsParams or a tuple of variants that agree on K, noise_amp,
+    or one weight (None or a finite real number) per problem. `params` is
+    one DynamicsParams or a tuple of variants that agree on K, noise_amp,
     cycles, steps_per_cycle and normalize_by_degree; they share one
     integration and each seed's draws. Returns one RunResult per
     (variant, problem, seed): variant-major, then problem-major, then by
@@ -748,4 +757,4 @@ def run_seeds(problem, params, seeds, *, total_weight=None, polish=False):
     """
     if len(seeds) == 0:
         return []
-    return _runs(problem, params, list(seeds), total_weight, polish)
+    return _runs(problem, params, list(seeds), total_weight)

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, SpecificationError, _integer
-from .problems import as_spins, hamiltonian
+from .problems import hamiltonian
 
 __all__ = ["BRUTE_FORCE_MAX_N", "MINIMIZER_CAP", "BruteForceResult",
-           "brute_force", "SaParams", "simulated_annealing", "greedy_descent"]
+           "brute_force", "SaParams", "simulated_annealing"]
 
 BRUTE_FORCE_MAX_N = 24
 MINIMIZER_CAP = 64
@@ -30,9 +30,6 @@ class BruteForceResult:
     min_H: float
     minimizers: tuple
     truncated: bool
-
-    def __iter__(self):  # (min_H, minimizers) unpacking
-        return iter((self.min_H, list(self.minimizers)))
 
 
 def _spins_from_indices(idx, n):
@@ -179,26 +176,3 @@ def simulated_annealing(problem, sa):
     best_spins = best_s.astype(np.int8)
     # re-evaluate exactly: the incremental H can drift in ulps for float J
     return best_spins, hamiltonian(problem, best_spins)
-
-
-def greedy_descent(problem, spins):
-    """Sweep single-flip descent until no flip lowers H. Returns (spins, H)."""
-    s = as_spins(spins, problem.n).astype(np.float64)
-    adj = problem.adjacency
-    indptr, indices, data = adj.indptr, adj.indices, adj.data
-    f = adj @ s + problem.h
-    H = hamiltonian(problem, s.astype(np.int8))
-    improved = True
-    while improved:
-        improved = False
-        for i in range(problem.n):
-            dH = 2.0 * s[i] * f[i]
-            if dH < 0.0:
-                si = -s[i]
-                s[i] = si
-                H += dH
-                lo, hi = indptr[i], indptr[i + 1]
-                f[indices[lo:hi]] += (2.0 * si) * data[lo:hi]
-                improved = True
-    out = s.astype(np.int8)
-    return out, hamiltonian(problem, out)

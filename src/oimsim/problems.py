@@ -166,10 +166,6 @@ class IsingProblem:
     def has_fields(self):
         return bool(np.any(self._h != 0.0))
 
-    def coupling_weight_bound(self):
-        """sum |J| + sum |h|: an upper bound on |H| over all spins."""
-        return float(np.abs(self._jv).sum() + np.abs(self._h).sum())
-
     def __eq__(self, other):
         if not isinstance(other, IsingProblem):
             return NotImplemented

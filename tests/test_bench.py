@@ -17,6 +17,9 @@ from oimsim import (BenchmarkSpec, Complete, DynamicsParams, IsingProblem,
                     random_spins, run_benchmark, write_export)
 
 
+FERRO2 = IsingProblem(2, [(0, 1, 1.0)])
+
+
 def quick_params(cycles=20.0):
     return DynamicsParams(cycles=cycles)
 
@@ -111,6 +114,15 @@ class TestRunBenchmark:
         p = IsingProblem(2, [(0, 1, 1.0)])
         with pytest.raises(SpecificationError):
             BenchmarkSpec(problems=(("x", p),), **{"runs": 1, **bad})
+
+    @pytest.mark.parametrize("entry", [
+        ("x",), ("x", FERRO2, 1, 2), ("x", FERRO2, "abc"), ("x", FERRO2, float("nan")),
+        ("x", FERRO2, float("inf")), ("x", FERRO2, (3,)), FERRO2,
+    ], ids=["one_item", "four_items", "text_weight", "nan_weight", "inf_weight",
+            "tuple_weight", "bare_problem"])
+    def test_problem_entries_checked_when_built(self, entry):
+        with pytest.raises(SpecificationError):
+            BenchmarkSpec(problems=(entry,), params=quick_params(), runs=1)
 
 
 class TestPlanner:

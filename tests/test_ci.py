@@ -1,7 +1,8 @@
 """The CI workflow runs the commands the project documents.
 
 The workflow only runs on the hosted runner, so these checks are the local
-guard against its commands drifting from ROADMAP.md's tier-1 command.
+guard against its commands drifting from ROADMAP.md's tier-1 command and
+from the demos, which smoke-test the public API.
 """
 
 import re
@@ -26,6 +27,14 @@ def test_workflow_runs_the_tier1_command():
 
 def test_workflow_runs_the_benchmark_tests():
     assert "python -m pytest -q perfbench/tests" in WORKFLOW.read_text(encoding="utf-8")
+
+
+def test_workflow_runs_every_demo():
+    # 04 needs published G-set files, which the runner cannot download
+    demos = WORKFLOW.read_text(encoding="utf-8").split("- name: Demos")[1].split("- name:")[0]
+    expected = {p.name for p in (REPO_ROOT / "demos").glob("*.py")} - {"04_gset_benchmark.py"}
+    assert expected
+    assert set(re.findall(r"python demos/(\S+\.py)", demos)) == expected
 
 
 def test_workflow_parses():

@@ -172,6 +172,12 @@ class TestSampleDetuning:
         b = sample_detuning(100, 0.01, seed=9)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("pct", [-0.01, math.nan, math.inf])
+    def test_pct_must_be_finite_and_non_negative(self, pct):
+        from oimsim import SpecificationError
+        with pytest.raises(SpecificationError, match="variability_pct"):
+            sample_detuning(3, pct, 0)
+
 
 class TestStep:
     def test_fixed_point_unchanged(self):
@@ -320,19 +326,6 @@ class TestSimulate:
         assert lyapunov(p, st, normalized) == pytest.approx(
             lyapunov(p, st, manual), rel=1e-12)
 
-    def test_polish_flag_descends(self):
-        from oimsim import hamiltonian as ham
-        p = random_problem(20, 12)
-        prm = params_with(cycles=5.0)  # too short to converge on its own
-        raw = simulate(p, prm, seed=0)
-        polished = simulate(p, prm, seed=0, polish=True)
-        assert polished.final_H <= raw.final_H
-        assert polished.final_H == ham(p, polished.final_spins)
-        for i in range(p.n):
-            flipped = polished.final_spins.copy()
-            flipped[i] = -flipped[i]
-            assert ham(p, flipped) >= polished.final_H
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self):
         p = IsingProblem(3, [(0, 1, 1e308), (0, 2, 1e308)])
@@ -430,6 +423,29 @@ class TestPackedGroups:
             run_seeds([], params_with(cycles=1.0), [1])
         with pytest.raises(SpecificationError, match="IsingProblem"):
             simulate([], params_with(cycles=1.0))
+
+    @pytest.mark.parametrize("problems, total_weight", [
+        (1, (3, 4)), (1, (3,)), (1, "3"), (1, math.nan), (1, math.inf), (1, 10 ** 400),
+        (2, (3,)), (2, (3, 4, 5)), (2, 3), (2, (3, "4")), (2, (None, math.nan)),
+    ], ids=["pair", "one_tuple", "text", "nan", "inf", "beyond_float", "group_short",
+            "group_long", "group_scalar", "group_text", "group_nan"])
+    def test_bad_total_weight_rejected_before_integrating(self, monkeypatch, problems,
+                                                          total_weight):
+        import oimsim.dynamics as dyn
+        from oimsim import SpecificationError
+        monkeypatch.setattr(dyn, "_integrate_batch", None)  # reaching it fails otherwise
+        p = random_problem(4, 1)
+        with pytest.raises(SpecificationError, match="total_weight"):
+            run_seeds(p if problems == 1 else [p] * problems, params_with(cycles=1.0), [1],
+                      total_weight=total_weight)
+
+    def test_total_weight_accepts_finite_reals(self):
+        group = [random_problem(4, 1), random_problem(4, 2)]
+        prm = params_with(cycles=1.0)
+        for tw in ([np.int64(3), 2.5], np.array([3.0, 2.5]), (None, 2 ** 60)):
+            cuts = [r.final_cut for r in run_seeds(group, prm, [1], total_weight=tw)]
+            assert [c is None for c in cuts] == [w is None for w in tw]
+        assert run_seeds(group[0], prm, [1], total_weight=np.float64(3))[0].final_cut is not None
 
     def test_trace_needs_one_problem(self):
         # a trace covers one run: two problems, several seeds or several

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from oimsim import (CapacityError, Complete, IsingProblem, SaParams,
-                    brute_force, greedy_descent, hamiltonian, random_ising,
-                    random_spins, simulated_annealing)
+                    brute_force, hamiltonian, random_ising, random_spins,
+                    simulated_annealing)
 
 
 class TestBruteForce:
@@ -46,10 +46,6 @@ class TestBruteForce:
         assert res.min_H == 0
         assert res.truncated
         assert len(res.minimizers) == 64
-
-    def test_unpacks_as_pair(self):
-        min_H, minimizers = brute_force(IsingProblem(2, [(0, 1, 1.0)]))
-        assert min_H == -1 and len(minimizers) == 2
 
     @pytest.mark.parametrize("seed", range(4))
     def test_minimum_bounds_random_samples(self, seed):
@@ -141,18 +137,3 @@ class TestSimulatedAnnealing:
     def test_long_run_preset(self):
         sa = SaParams.long_run(flips=12345, seed=9)
         assert sa.iterations == 12345 and sa.seed == 9
-
-
-class TestGreedyDescent:
-    def test_result_is_local_minimum(self):
-        p = random_ising(14, Complete(), seed=4)
-        rng = np.random.default_rng(0)
-        start = random_spins(14, rng)
-        spins, H = greedy_descent(p, start)
-        assert H <= hamiltonian(p, start)
-        assert H == hamiltonian(p, spins)
-        # no single flip improves
-        for i in range(14):
-            flipped = spins.copy()
-            flipped[i] = -flipped[i]
-            assert hamiltonian(p, flipped) >= H
