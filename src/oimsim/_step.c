@@ -24,15 +24,15 @@
             acc[q0 + u] = t[u];                                                  \
     }
 
-/* phi (n, C); CSR (indptr, indices, data); h (n); kdt (n); ks (L, C): 2*Ks*dt per step
- * and column; dt_dw (n, C); z seed-major draws (B, zs): step k adds scale * z[b*zs +
- * base[i] + k*stride[i]] to row i, seed b of all C / B variant blocks; work w (n + 1, 2C):
- * row j is [cos phi_j | sin phi_j], row n a row's sums; scratch (n, C) each: srt the
- * phases in bin order, pos their workspace offsets, key their bins. Every term is added:
- * a term that is off is 0.0, and the wrap's + 0.0 makes that exact. */
+/* kdt = K*dt, one gain for all rows; phi (n, C); CSR (indptr, indices, data); h (n); ks
+ * (L, C): 2*Ks*dt per step and column; dt_dw (n, C); z seed-major draws (B, zs): step k
+ * adds scale * z[b*zs + base[i] + k*stride[i]] to row i, seed b of all C / B variant
+ * blocks; work w (n + 1, 2C): row j is [cos phi_j | sin phi_j], row n a row's sums;
+ * scratch (n, C) each: srt the phases in bin order, pos their workspace offsets, key
+ * their bins. Every term is added: a term that is off is 0.0, the wrap's + 0.0 exact. */
 void oim_steps(int64_t n, int64_t C, int64_t B, int64_t L, int64_t zs, double scale,
-               double *restrict phi, const int64_t *indptr, const int64_t *indices,
-               const double *data, const double *h, const double *kdt, const double *ks,
+               double kdt, double *restrict phi, const int64_t *indptr,
+               const int64_t *indices, const double *data, const double *h, const double *ks,
                const double *dt_dw, const double *z,
                const int64_t *base, const int64_t *stride, double *restrict w,
                double *restrict srt, int64_t *restrict pos, uint8_t *restrict key)
@@ -63,7 +63,7 @@ void oim_steps(int64_t n, int64_t C, int64_t B, int64_t L, int64_t zs, double sc
                     const double c = w[i * C2 + q], s = w[i * C2 + C + q];
                     double g = s * acc[q] - c * acc[C + q];
                     g += h[i] * s;
-                    g *= kdt[i];
+                    g *= kdt;
                     g += (s * c) * ks[k * C + q];
                     double x = phi[e] - g;
                     x += dt_dw[e];

@@ -30,9 +30,9 @@ import numpy as np
 from . import __version__ as _version
 from .dynamics import (DynamicsParams, _as_variants, _share_cpus, _usable_cpus, _weights,
                        run_seeds)
-from .errors import SpecificationError, _integer
+from .errors import CapacityError, SpecificationError, _integer
 from .io import BestKnownCatalog
-from .oracles import brute_force
+from .oracles import BRUTE_FORCE_MAX_N, brute_force
 from .problems import IsingProblem
 
 __all__ = [
@@ -54,8 +54,9 @@ class BenchmarkSpec:
 
     problems entries are (name, IsingProblem) or (name, IsingProblem,
     total_weight); a total_weight, None or a finite real number, enables
-    cut reporting. oracle is None, "brute" (exact minimum, small n), or a
-    BestKnownCatalog keyed by problem name.
+    cut reporting. oracle is None, "brute" (exact minimum; every problem
+    needs n <= BRUTE_FORCE_MAX_N, else CapacityError), or a BestKnownCatalog
+    keyed by problem name.
     """
 
     problems: tuple
@@ -79,6 +80,12 @@ class BenchmarkSpec:
                 raise SpecificationError(f"problem {name!r} is not an IsingProblem")
             norm.append((str(name), problem, *_weights(tw or None, 1)))
         object.__setattr__(self, "problems", tuple(norm))
+        brute = isinstance(self.oracle, str) and self.oracle == "brute"
+        if not (brute or self.oracle is None or isinstance(self.oracle, BestKnownCatalog)):
+            raise SpecificationError(f"unknown oracle {self.oracle!r}")
+        big = [name for name, problem, _ in norm if brute and problem.n > BRUTE_FORCE_MAX_N]
+        if big:
+            raise CapacityError(f"oracle 'brute' refuses n > {BRUTE_FORCE_MAX_N}: {big}")
 
     def seeds(self):
         return [self.seed_base + k for k in range(self.runs)]
@@ -174,10 +181,8 @@ def _success_count(spec, name, problem, records):
         if ref is None:
             return None
         return sum(1 for r in records if r.cut is not None and r.cut >= ref)
-    if oracle == "brute":
-        min_H = brute_force(problem).min_H
-        return sum(1 for r in records if r.H <= min_H + 1e-9)
-    raise SpecificationError(f"unknown oracle {oracle!r}")
+    min_H = brute_force(problem).min_H  # oracle "brute": BenchmarkSpec checked the size
+    return sum(1 for r in records if r.H <= min_H + 1e-9)
 
 
 def _aggregate(spec, name, problem, results):

@@ -8,11 +8,12 @@ oscillation cycles. The drift is
                                 + h_i sin(phi_i) ]
                    - Ks(t) * sin(2 phi_i)
 
-where dw_i are per-oscillator frequency detunings and Ks(t) is the strength
-of the double-frequency SYNC injection, a KsSchedule ramp from 0 to its
-level (times t >= 0; SYNC off is level 0). The sin(2 phi) term creates two
-stable locks 180 degrees apart (the physical bit); without detuning and
-noise the flow descends the Lyapunov function
+where dw_i are per-oscillator frequency detunings, K is one coupling gain
+for every problem of a run and Ks(t) is the strength of the double-frequency
+SYNC injection, a KsSchedule ramp from 0 to its level (times t >= 0; SYNC
+off is level 0). The sin(2 phi) term creates two stable locks 180 degrees
+apart (the physical bit); without detuning and noise the flow descends the
+Lyapunov function
 
     E(phi) = -K * [ sum_{i<j} J_ij cos(phi_i - phi_j)
                     + sum_i h_i cos(phi_i) ]
@@ -61,6 +62,7 @@ import math
 import numbers
 import os
 import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -74,7 +76,8 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionError, NumericalDivergenceError, SpecificationError, _integer
+from .errors import (DimensionError, NumericalDivergenceError, SpecificationError, _finite,
+                     _integer)
 from .problems import IsingProblem, hamiltonian, cut_from_hamiltonian
 
 __all__ = [
@@ -103,6 +106,7 @@ _STREAM_NOISE = 2
 # same stream regardless of block shape, so this never changes results
 _MAX_NOISE_DOUBLES = 262_144  # 2 MB
 _MIN_SLICE = 256  # phases (spins x columns) per thread, at least: fewer gain nothing
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")  # how _load_kernel builds _step.c
 _budget = threading.local()  # .threads: a unit thread's share of the CPUs (else all)
 _kernel_lock = threading.Lock()
 
@@ -136,10 +140,11 @@ class KsSchedule:
     t1: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.level) and self.level >= 0):
-            raise SpecificationError("Ks level must be finite and >= 0")
-        if not (0 <= self.t0 <= self.t1 < math.inf):
+        _finite(self.level, "Ks level")
+        if not (0 <= self.t0 <= self.t1 <= sys.float_info.max):
             raise SpecificationError("ramp needs finite 0 <= t0 <= t1")
+        for name in ("level", "t0", "t1"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @classmethod
     def constant(cls, level):
@@ -147,7 +152,7 @@ class KsSchedule:
 
     @classmethod
     def ramp(cls, t0, t1, level):
-        return cls(level=float(level), t0=float(t0), t1=float(t1))
+        return cls(level=level, t0=t0, t1=t1)
 
     @classmethod
     def from_config(cls, cfg):
@@ -186,18 +191,14 @@ class DynamicsParams:
     variability_pct: float = DEFAULTS["variability_pct"]
     cycles: float = DEFAULTS["cycles"]
     steps_per_cycle: int = DEFAULTS["steps_per_cycle"]
-    normalize_by_degree: bool = DEFAULTS.get("normalize_by_degree", False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.K) and self.K > 0):
-            raise SpecificationError("K must be finite and > 0")
-        if not (math.isfinite(self.noise_amp) and self.noise_amp >= 0):
-            raise SpecificationError("noise_amp must be finite and >= 0")
-        if not (math.isfinite(self.variability_pct) and self.variability_pct >= 0):
-            raise SpecificationError("variability_pct must be finite and >= 0")
-        if not (math.isfinite(self.cycles) and self.cycles > 0):
-            raise SpecificationError("cycles must be finite and > 0")
-        if int(self.steps_per_cycle) != self.steps_per_cycle or self.steps_per_cycle < 1:
+        _finite(self.K, "K", strict=True)
+        _finite(self.noise_amp, "noise_amp")
+        _finite(self.variability_pct, "variability_pct")
+        _finite(self.cycles, "cycles", strict=True)
+        spc = self.steps_per_cycle
+        if not (isinstance(spc, numbers.Real) and 1 <= spc < math.inf and int(spc) == spc):
             raise SpecificationError("steps_per_cycle must be a positive integer")
 
     @property
@@ -207,11 +208,6 @@ class DynamicsParams:
     @property
     def total_steps(self):
         return int(math.ceil(round(self.cycles * self.steps_per_cycle, 9)))
-
-    def effective_K(self, problem):
-        """K as applied to this problem (divided by max degree when the
-        normalization flag is on; the default is parameter-free)."""
-        return self.K / problem.max_degree if self.normalize_by_degree else self.K
 
     def without_sync(self):
         return replace(self, ks_schedule=KsSchedule.constant(0.0))
@@ -224,13 +220,15 @@ class DynamicsParams:
             "variability_pct": self.variability_pct,
             "cycles": self.cycles,
             "steps_per_cycle": self.steps_per_cycle,
-            "normalize_by_degree": self.normalize_by_degree,
         }
 
     @classmethod
     def from_config(cls, cfg):
         """Inverse of to_config; a version-2 config's "sync_enabled": false
-        reads as Ks level 0."""
+        reads as Ks level 0, and its or a version-3 one's "normalize_by_degree"
+        must be false."""
+        if cfg.get("normalize_by_degree", False) is not False:
+            raise SpecificationError("normalize_by_degree must be false: K is one gain")
         ks = KsSchedule.from_config(cfg["ks"])
         return cls(
             K=cfg["K"],
@@ -239,7 +237,6 @@ class DynamicsParams:
             variability_pct=cfg["variability_pct"],
             cycles=cfg["cycles"],
             steps_per_cycle=cfg["steps_per_cycle"],
-            normalize_by_degree=cfg.get("normalize_by_degree", False),
         )
 
 
@@ -251,8 +248,7 @@ class PhaseState:
     time: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.time) and self.time >= 0):
-            raise SpecificationError("time must be finite and >= 0")
+        _finite(self.time, "time")
         p = np.asarray(self.phases, dtype=np.float64)
         if p.ndim != 1:
             raise DimensionError("phases must be a 1D vector")
@@ -288,9 +284,7 @@ def sample_detuning(n, variability_pct, seed):
     dw_i = 2*pi*delta_i with delta_i ~ Normal(0, variability_pct^2), i.i.d.
     Deterministic in seed; exactly zero when variability_pct == 0.
     """
-    if not (math.isfinite(variability_pct) and variability_pct >= 0):
-        raise SpecificationError("variability_pct must be finite and >= 0")
-    if variability_pct == 0:
+    if _finite(variability_pct, "variability_pct") == 0:
         return np.zeros(n)
     rng = _substream(seed, _STREAM_DETUNE)
     return TWO_PI * rng.normal(0.0, variability_pct, size=n)
@@ -317,7 +311,7 @@ def _columns(problem, state, detuning=None):
 
 def _kernel_args(problem, params, t, dt):
     """_coupling's (adj, h_col, Kdt, ks2dt) for one problem at time t."""
-    return (problem.adjacency, _field_col((problem,)), params.effective_K(problem) * dt,
+    return (problem.adjacency, _field_col((problem,)), params.K * dt,
             2.0 * dt * float(params.ks_schedule.value(t)))
 
 
@@ -337,13 +331,12 @@ def drift(problem, state, params, detuning=None):
 def lyapunov(problem, state, params):
     """Global energy function E(phi); the noiseless flow descends it."""
     Phi, _ = _columns(problem, state)
-    K = params.effective_K(problem)
     ks = float(params.ks_schedule.value(state.time))
     adj = problem.adjacency
     C = np.cos(Phi)
     S = np.sin(Phi)
     pair = 0.5 * (np.sum(C * (adj @ C), axis=0) + np.sum(S * (adj @ S), axis=0))
-    e = -K * (pair + problem.h @ C) - 0.5 * ks * np.sum(np.cos(2.0 * Phi), axis=0)
+    e = -params.K * (pair + problem.h @ C) - 0.5 * ks * np.sum(np.cos(2.0 * Phi), axis=0)
     return float(e[0])
 
 
@@ -370,10 +363,9 @@ def _wrap(Phi):
 def _coupling(Phi, adj, h_col, Kdt, ks2dt):
     """-dt times the drift without detuning, for an (n, C) phase matrix.
 
-    Kdt = K*dt is a scalar or one value per row (packed problems differ in
-    K when it is normalized by degree); ks2dt = 2*Ks(t)*dt is a scalar or
-    one value per column, 0.0 where SYNC is off. Every term is always
-    added: a term of 0.0 can only turn a -0 of g into +0.
+    Kdt = K*dt is a scalar; ks2dt = 2*Ks(t)*dt is a scalar or one value
+    per column, 0.0 where SYNC is off. Every term is always added: a term
+    of 0.0 can only turn a -0 of g into +0.
     """
     c = np.cos(Phi)
     s = np.sin(Phi)
@@ -427,14 +419,13 @@ def _load_kernel():
     self-check has every term on and phases beyond [-2*pi, 4*pi). A load
     refreshes the build's mtime; a build deletes builds 30 days unloaded."""
     src = resources.files("oimsim").joinpath("_step.c").read_bytes()
-    flags = ["-O3", "-ffp-contract=off", "-fPIC", "-shared"]
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "oimsim"
-    lib = cache / f"_step-{hashlib.sha256(src + ' '.join(flags).encode()).hexdigest()[:16]}.so"
+    lib = cache / f"_step-{hashlib.sha256(src + ' '.join(_CFLAGS).encode()).hexdigest()[:16]}.so"
     try:
         if not lib.exists():  # build aside, then rename: concurrent builds cannot race
             cache.mkdir(parents=True, exist_ok=True)
             with tempfile.TemporaryDirectory(dir=cache) as tmp:
-                subprocess.run(["cc", *flags, "-x", "c", "-", "-o", f"{tmp}/k.so", "-lm"],
+                subprocess.run(["cc", *_CFLAGS, "-x", "c", "-", "-o", f"{tmp}/k.so", "-lm"],
                                input=src, capture_output=True, check=True, timeout=300)
                 os.replace(f"{tmp}/k.so", lib)
             for old in cache.glob("_step-*.so"):
@@ -446,7 +437,7 @@ def _load_kernel():
         fn = ctypes.CDLL(str(lib)).oim_steps
     except (OSError, subprocess.SubprocessError):  # also: no cc on PATH
         return None
-    fn.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] + [ctypes.c_void_p] * 15
+    fn.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 14
     fn.restype = None
 
     def kernel(Phi, adj, h_col, Kdt, dt_dw, noise):
@@ -457,7 +448,7 @@ def _load_kernel():
         cast = lambda a, shape, dtype=np.float64: np.ascontiguousarray(  # noqa: E731
             np.broadcast_to(a, shape), dtype=dtype)
         keep = [Phi, cast(adj.indptr, n + 1, np.int64), cast(adj.indices, adj.nnz, np.int64),
-                cast(adj.data, adj.nnz), cast(h_col, (n, 1)), cast(Kdt, (n, 1)),
+                cast(adj.data, adj.nnz), cast(h_col, (n, 1)),
                 cast(dt_dw, (n, C)), z, cast(base, n, np.int64), cast(stride, n, np.int64),
                 np.empty((n + 1, 2 * C)), np.empty(n * C), np.empty(n * C, np.int64),
                 np.empty(n * C, np.uint8)]  # workspace, then the sincos order's scratch
@@ -467,17 +458,17 @@ def _load_kernel():
 
         def advance(ks_cols):
             ks = np.ascontiguousarray(ks_cols, float)
-            L, (base, stride) = len(ks), keep[8:10]
+            L, (base, stride) = len(ks), keep[7:9]
             if ks.shape != (L, C) or not 0 <= base.min() <= (base + (L - 1) * stride).max() < zs:
                 raise ValueError("the step kernel needs (L, C) Ks values, draws in range")
-            fn(n, C, B, L, zs, scale, *ptrs[:6], ks.ctypes.data, *ptrs[6:])
+            fn(n, C, B, L, zs, scale, Kdt, *ptrs[:5], ks.ctypes.data, *ptrs[5:])
         return advance
 
     # 2C = 30 runs the 8-, 4- and 2-wide tiles; rows 0-3, 4-8: two packed problems;
     # Ks is 0 in column 0 and at step 1
     rng = np.random.default_rng(0)
     args = (sp.csr_matrix(rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.4)),
-            rng.normal(size=(9, 1)), rng.uniform(0.0, 0.1, (9, 1)),
+            rng.normal(size=(9, 1)), rng.uniform(0.0, 0.1),
             rng.normal(0.0, 0.1, (9, 15)),
             (rng.normal(size=(5, 36)), *_noise_rows([4, 5], 4), 10.0),
             rng.uniform(0.0, 0.1, (4, 15)) * np.outer(np.arange(4) != 1, np.arange(15) > 0))
@@ -524,12 +515,9 @@ def _weights(total_weight, count):
     real number; None gives count Nones. Else SpecificationError."""
     weights = (None,) * count if total_weight is None else (
         tuple(total_weight) if np.iterable(total_weight) else ())
-    try:
-        ok = len(weights) == count and all(
-            w is None or isinstance(w, numbers.Real) and math.isfinite(w) for w in weights)
-    except OverflowError:  # an integer beyond the float range
-        ok = False
-    if not ok:
+    if not (len(weights) == count and all(
+            w is None or isinstance(w, numbers.Real) and abs(w) <= sys.float_info.max
+            for w in weights)):
         raise SpecificationError(f"total_weight must give each of {count} problem(s) None "
                                  "or a finite real number")
     return weights
@@ -537,7 +525,7 @@ def _weights(total_weight, count):
 
 # what the variants of one batch must share: they differ only in the Ks
 # schedule and frequency variability
-_SHARED = ("K", "noise_amp", "cycles", "steps_per_cycle", "normalize_by_degree")
+_SHARED = ("K", "noise_amp", "cycles", "steps_per_cycle")
 
 
 def _as_variants(params):
@@ -620,8 +608,6 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
 
     h_col = _field_col(group)
     adj = sp.block_diag([p.adjacency for p in group], format="csr")
-    K_eff = [params.effective_K(p) for p in group]
-    Kdt = np.repeat(np.multiply(K_eff, dt), sizes).reshape(-1, 1)
     with _kernel_lock:  # lru_cache is no lock: threads on a cold cache would each build
         bind = _load_kernel() or (lambda *args: partial(_steps, *args))  # numpy, alike
 
@@ -639,7 +625,7 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
         start.wait()  # no slice runs ahead while another thread is still starting
         phi, dw = (np.ascontiguousarray(a.reshape(n, V, B)[:, :, b0:b1]).reshape(n, -1)
                    for a in (Phi, dt_dw))  # every variant's columns
-        advance = bind(phi, adj, h_col, Kdt, dw, (draws[b0:b1], *noise))
+        advance = bind(phi, adj, h_col, params.K * dt, dw, (draws[b0:b1], *noise))
         done = 0
         while not (bad and done >= min(bad)[0]):
             if trace_points and (done == total_steps or trace_points > 1 and done % every == 0):
@@ -747,10 +733,9 @@ def run_seeds(problem, params, seeds, *, total_weight=None):
     into one block-diagonal integration; for a group, total_weight is None
     or one weight (None or a finite real number) per problem. `params` is
     one DynamicsParams or a tuple of variants that agree on K, noise_amp,
-    cycles, steps_per_cycle and normalize_by_degree; they share one
-    integration and each seed's draws. Returns one RunResult per
-    (variant, problem, seed): variant-major, then problem-major, then by
-    seed. Results are identical to calling simulate() per variant, problem
+    cycles and steps_per_cycle; they share one integration and each seed's
+    draws. Returns one RunResult per (variant, problem, seed):
+    variant-major, then problem-major, then by seed. Results are identical to calling simulate() per variant, problem
     and seed; batching and packing only amortize per-step overhead, and
     each run's wall_time is an even share of the integration's. Used by
     the benchmark harness.

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer rule."""
+"""Exception types shared across the package, and the integer and real rules."""
 
 import numbers
+import sys
 
 
 class OimError(Exception):
@@ -59,4 +60,12 @@ def _integer(value, name, least):
     """value if it is an integer (Python or numpy) >= least; else SpecificationError."""
     if not isinstance(value, numbers.Integral) or value < least:
         raise SpecificationError(f"{name} must be an integer >= {least}")
+    return value
+
+
+def _finite(value, name, least=0, strict=False):
+    """value if it is finite and >= least (> least when strict), never an integer
+    beyond the float range; else SpecificationError."""
+    if not (least < value if strict else least <= value) or not value <= sys.float_info.max:
+        raise SpecificationError(f"{name} must be finite and {'>' if strict else '>='} {least}")
     return value

@@ -8,11 +8,12 @@ incremental energy updates.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, SpecificationError, _integer
+from .errors import CapacityError, SpecificationError, _finite, _integer
 from .problems import hamiltonian
 
 __all__ = ["BRUTE_FORCE_MAX_N", "MINIMIZER_CAP", "BruteForceResult",
@@ -104,10 +105,9 @@ class SaParams:
 
     def __post_init__(self):
         _integer(self.iterations, "iterations", 1)
-        if not (math.isfinite(self.T_final) and self.T_final > 0):
-            raise SpecificationError("T_final must be finite and > 0")
+        _finite(self.T_final, "T_final", strict=True)
         if self.T_initial is not None and not (
-                math.isfinite(self.T_initial) and self.T_initial >= self.T_final):
+                self.T_final <= self.T_initial <= sys.float_info.max):
             raise SpecificationError("T_initial must be finite and >= T_final")
         if self.moves_per_temp is not None:
             _integer(self.moves_per_temp, "moves_per_temp", 1)

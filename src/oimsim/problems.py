@@ -156,13 +156,6 @@ class IsingProblem:
         return len(self._jv)
 
     @property
-    def max_degree(self):
-        """Largest number of couplings on any one spin (>= 1 for scaling)."""
-        if len(self._jv) == 0:
-            return 1
-        return int(np.diff(self._adj.indptr).max())
-
-    @property
     def has_fields(self):
         return bool(np.any(self._h != 0.0))
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oimsim.bench as bench
-from oimsim import (BenchmarkSpec, Complete, DynamicsParams, IsingProblem,
+from oimsim import (BenchmarkSpec, CapacityError, Complete, DynamicsParams, IsingProblem,
                     KsSchedule, SpecificationError, WeightedGraph,
                     ablation_compare, default_catalog, export, hamiltonian,
                     histogram, load_ising_json, maxcut_to_ising, random_ising,
@@ -96,6 +96,15 @@ class TestRunBenchmark:
         summary = run_benchmark(spec)
         stats = summary.stats("tiny")
         assert stats.success == sum(1 for r in stats.records if r.cut >= 1)
+
+    @pytest.mark.parametrize("oracle, n, error", [
+        ("Brute", 2, SpecificationError), ({"tiny": 1}, 2, SpecificationError),
+        ("brute", 30, CapacityError)], ids=["misspelt", "dict", "brute_too_large"])
+    def test_oracle_checked_when_built(self, oracle, n, error):
+        # before any integration: the spec cannot be built
+        entries = (("ferro", IsingProblem(n, [(0, 1, 1.0)])),)
+        with pytest.raises(error):
+            BenchmarkSpec(problems=entries, params=quick_params(), runs=2, oracle=oracle)
 
     def test_mode_validation(self):
         p = IsingProblem(2, [(0, 1, 1.0)])
@@ -293,8 +302,8 @@ class TestExport:
         DynamicsParams(cycles=5.0),
         DynamicsParams(cycles=5.0, ks_schedule=KsSchedule.constant(0.7)),
         DynamicsParams(cycles=5.0).without_sync(),
-        DynamicsParams(cycles=5.0, normalize_by_degree=True, variability_pct=0.03),
-    ], ids=["default_ramp", "constant_ks", "without_sync", "normalized_variability"])
+        DynamicsParams(cycles=5.0, variability_pct=0.03),
+    ], ids=["default_ramp", "constant_ks", "without_sync", "variability"])
     def test_params_rebuild_from_export(self, params):
         # an export's meta.params is enough to rebuild the run's params
         spec = BenchmarkSpec(problems=(("ferro2", IsingProblem(2, [(0, 1, 1.0)])),),
@@ -335,8 +344,7 @@ class TestExport:
 
 def variant_specs(problems, runs=12, **kw):
     prm = DynamicsParams(cycles=3.0, steps_per_cycle=50,
-                         ks_schedule=KsSchedule.ramp(0.0, 1.5, 1.0),
-                         normalize_by_degree=True)
+                         ks_schedule=KsSchedule.ramp(0.0, 1.5, 1.0))
     common = dict(problems=problems, runs=runs, seed_base=2, **kw)
     return [BenchmarkSpec(params=variant, **common)
             for variant in (prm, prm.without_sync(),
@@ -377,7 +385,7 @@ class TestSpecVariants:
         specs = variant_specs(problems)
         for other in (variant_specs(problems, runs=5)[1],
                       variant_specs(problems[:2])[1],
-                      variant_specs(problems, oracle="brute")[1],
+                      variant_specs(problems, oracle=default_catalog())[1],
                       BenchmarkSpec(problems=problems, runs=12, seed_base=2)):
             with pytest.raises(SpecificationError):
                 run_benchmark([specs[0], other])

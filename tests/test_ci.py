@@ -42,3 +42,15 @@ def test_workflow_parses():
     doc = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     runs = [s.get("run", "") for job in doc["jobs"].values() for s in job["steps"]]
     assert any(tier1_command() in r for r in runs)
+
+
+def test_workflow_builds_the_kernel_with_the_loader_flags():
+    # the runner's only -Werror build of the step kernel is the build the
+    # loader makes, plus the warning flags
+    from oimsim.dynamics import _CFLAGS
+    step = WORKFLOW.read_text(encoding="utf-8").split("- name: Kernel warnings")[1]
+    lines = step.split("- name:")[0].replace("\\\n", " ").splitlines()
+    (build,) = [line.split() for line in lines if line.split()[:1] == ["cc"] and "-lm" in line]
+    at = build.index("-o")
+    assert [f for f in build[1:at] if f != "-std=c99" and not f.startswith("-W")] == list(_CFLAGS)
+    assert build[at + 2:] == ["src/oimsim/_step.c", "-lm"]

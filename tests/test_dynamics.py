@@ -53,7 +53,8 @@ class TestKsSchedule:
         assert np.allclose(out, [0.0, 0.5, 1.0])
 
     @pytest.mark.parametrize("t0, t1", [(-1.0, 2.0), (3.0, 2.0), (math.nan, 2.0),
-                                        (0.0, math.inf), (math.inf, math.inf)])
+                                        (0.0, math.inf), (math.inf, math.inf),
+                                        pytest.param(0, 10**400, id="beyond_float")])
     def test_ramp_times_are_checked(self, t0, t1):
         from oimsim import SpecificationError
         with pytest.raises(SpecificationError, match="ramp"):
@@ -83,6 +84,40 @@ class TestKsSchedule:
         prm = DynamicsParams.from_config(dict(self.V2_CONFIG, sync_enabled=False))
         assert prm.ks_schedule.level == 0.0
         assert prm == DynamicsParams.from_config(self.V2_CONFIG).without_sync()
+
+
+class TestParamsChecks:
+    def test_defaults_file_is_the_params_defaults(self):
+        from oimsim import DEFAULTS
+        assert DynamicsParams.from_config(DEFAULTS) == DynamicsParams()
+        assert set(DynamicsParams().to_config()) == set(DEFAULTS) - {"version"}
+
+    def test_version_3_config_reads_unless_normalized(self):
+        from oimsim import SpecificationError
+        v3 = dict(DynamicsParams(K=0.5).to_config(), normalize_by_degree=False)
+        assert DynamicsParams.from_config(v3) == DynamicsParams(K=0.5)
+        with pytest.raises(SpecificationError, match="normalize_by_degree"):
+            DynamicsParams.from_config(dict(v3, normalize_by_degree=True))
+
+    # an integer beyond the float range, NaN or inf: never a bare OverflowError
+    # or ValueError (ramp times, detuning and time: in their own tests)
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DynamicsParams(K=10**400), "K must be finite"),
+        (lambda: DynamicsParams(cycles=10**400), "cycles must be finite"),
+        (lambda: DynamicsParams(variability_pct=10**400), "variability_pct must be finite"),
+        (lambda: KsSchedule.constant(10**400), "Ks level must be finite"),
+        (lambda: DynamicsParams(steps_per_cycle=math.nan), "steps_per_cycle"),
+        (lambda: DynamicsParams(steps_per_cycle=math.inf), "steps_per_cycle"),
+    ], ids=["K", "cycles", "variability_pct", "ks_level", "steps_nan", "steps_inf"])
+    def test_numbers_beyond_the_float_range_are_rejected(self, make, message):
+        from oimsim import SpecificationError
+        with pytest.raises(SpecificationError, match=message):
+            make()
+
+    def test_checked_numbers_keep_their_type(self):
+        # an integer K exports as it was given
+        assert DynamicsParams(K=2).to_config()["K"] == 2
+        assert isinstance(DynamicsParams(K=2).K, int)
 
 
 class TestDrift:
@@ -172,7 +207,8 @@ class TestSampleDetuning:
         b = sample_detuning(100, 0.01, seed=9)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("pct", [-0.01, math.nan, math.inf])
+    @pytest.mark.parametrize("pct", [-0.01, math.nan, math.inf,
+                                     pytest.param(10**400, id="beyond_float")])
     def test_pct_must_be_finite_and_non_negative(self, pct):
         from oimsim import SpecificationError
         with pytest.raises(SpecificationError, match="variability_pct"):
@@ -214,7 +250,8 @@ class TestStep:
         nxt = step(st, p, prm, rng=np.random.default_rng(0))
         assert 0 <= nxt.phases[0] < 2 * np.pi
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0,
+                                     pytest.param(10**400, id="beyond_float")])
     def test_time_must_be_finite_and_not_negative(self, bad):
         from oimsim import SpecificationError
         with pytest.raises(SpecificationError, match="time"):
@@ -309,22 +346,6 @@ class TestSimulate:
         res = simulate(p, params_with(cycles=50.0), seed=1,
                        total_weight=g.total_weight)
         assert res.final_cut == cut_value(g, res.final_spins)
-
-    def test_degree_normalization_flag(self):
-        import dataclasses
-        p = random_problem(12, 11)
-        deg = p.max_degree
-        assert deg >= 2
-        base = params_with(ks_level=0.7, cycles=2.0, noise_amp=0.1)
-        normalized = dataclasses.replace(base, normalize_by_degree=True)
-        manual = dataclasses.replace(base, K=base.K / deg)
-        a = simulate(p, normalized, seed=3)
-        b = simulate(p, manual, seed=3)
-        assert np.array_equal(a.final_spins, b.final_spins)
-        st = PhaseState(np.random.default_rng(0).uniform(0, 2 * np.pi, 12))
-        assert np.allclose(drift(p, st, normalized), drift(p, st, manual))
-        assert lyapunov(p, st, normalized) == pytest.approx(
-            lyapunov(p, st, manual), rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self):
@@ -559,7 +580,6 @@ class TestExactWrap:
 class TestVariantBatches:
     def variants(self):
         base = params_with(cycles=4.0, noise_amp=0.3, steps_per_cycle=50,
-                           normalize_by_degree=True,
                            ks_schedule=KsSchedule.ramp(0.5, 2.0, 1.0))
         return (base, base.without_sync(),
                 dataclasses.replace(base, variability_pct=0.04),
@@ -590,14 +610,12 @@ class TestVariantBatches:
             block = Phi[:, v * len(seeds):(v + 1) * len(seeds)]
             assert np.array_equal(block.view(np.int64), alone.view(np.int64))
 
-    @pytest.mark.parametrize("field", ["K", "noise_amp", "cycles",
-                                       "steps_per_cycle", "normalize_by_degree"])
+    @pytest.mark.parametrize("field", ["K", "noise_amp", "cycles", "steps_per_cycle"])
     def test_incompatible_variants_rejected(self, field):
         from oimsim import SpecificationError
         base = params_with(cycles=1.0)
         other = dataclasses.replace(base, **{field: {
-            "K": 2.0, "noise_amp": 0.5, "cycles": 2.0, "steps_per_cycle": 7,
-            "normalize_by_degree": not base.normalize_by_degree}[field]})
+            "K": 2.0, "noise_amp": 0.5, "cycles": 2.0, "steps_per_cycle": 7}[field]})
         with pytest.raises(SpecificationError):
             run_seeds(random_problem(4, 0), (base, other), [0])
         with pytest.raises(SpecificationError):

@@ -30,12 +30,12 @@ GOLDEN = {
     "simulate": "3e0f498debc856a057415051421a171a84425b292459c3c3908ab1fc70a5135b",
     "run_seeds": "afd6bece186015de7d14c0b98a68e2704e32e0085dbcf09b19bb542ad01a8398",
     # every problem of mixed_spec("variability") run alone, problem-major
-    "mixed_run_seeds": "a244044a39d40cab9857e157471f2ca6359605f2fd6460451c2807cd34397432",
-    "bench_standard": "26706235591a8edff3495f6a0d71a4a90bde81bb05268bcff8ca8e993d3ccc7f",
-    "bench_no_sync": "eb6739d4fe5de1bc310d360993791f1872fb6ba1a2ee1c418d84cd7972335d5f",
-    "bench_variability": "f83a62ff6c02787c3c3024661e159d9aa4d7a86da23f72569f93d2d5417b5214",
+    "mixed_run_seeds": "db2a5406635a8436a03f572e7f82d92705356185b3eadb03476c249d1f3e9413",
+    "bench_standard": "fa8aad54461268c05ffa5b29ecc190bd41de7c77e1ffedc275dbf58d213323f3",
+    "bench_no_sync": "cb1327a088cd80c5a8890aa21df7cd9f3b07a4ffcd15bb40406b6e6e2e94509d",
+    "bench_variability": "e1f09b5522fae41107b4b8a8f57b9fee48836a069ebdd3bfada3ce3cb1ea3e50",
     # every variant of ablation_compare, in variant order
-    "ablation": "9cd9e0d6ef435851d3eea4ef9f81af7785600208b3065e1495665df9fad4e431",
+    "ablation": "fbedd698da8dc9bad4ed500cb818d38235aa9abe4d9524bd2113f621ba8dcda6",
 }
 
 
@@ -60,7 +60,7 @@ def mixed_spec(mode):
     problems.append(random_ising(300, Torus(15, 20), seed=7))
     problems += [random_ising(10, Complete(), seed=k) for k in range(8, 11)]
     entries = tuple((f"p{k}", p) for k, p in enumerate(problems))
-    params = replace(PARAMS, normalize_by_degree=True)
+    params = replace(PARAMS, K=0.25)
     params = {"standard": params, "no_sync": params.without_sync(),
               "variability": replace(params, variability_pct=0.05)}[mode]
     return BenchmarkSpec(problems=entries, params=params, runs=12, seed_base=5)
@@ -104,7 +104,7 @@ def test_run_benchmark_golden(mode, parallelism):
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_ablation_golden(parallelism):
     # 12 runs: one full 10-seed chunk and one partial chunk per variant
-    params = replace(PARAMS, normalize_by_degree=True)
+    params = replace(PARAMS, K=0.25)
     result = ablation_compare(with_fields(20, 3), params, runs=12, seed_base=3,
                               total_weight=40.0, variability_pcts=(0.01, 0.05),
                               parallelism=parallelism)

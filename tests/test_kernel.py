@@ -411,7 +411,7 @@ def probes(draw):
     adj = sp.csr_matrix(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.5))
     # a term that is off is zeros, as the integrator passes it
     h_col = rng.normal(size=(n, 1)) if draw(st.booleans()) else np.zeros((n, 1))
-    Kdt = rng.uniform(0.0, 0.2, (n, 1))
+    Kdt = rng.uniform(0.0, 0.2)
     ks_cols = rng.uniform(0.0, 0.2, (L, C))
     ks_cols[:, rng.integers(C)] = 0.0  # a column without SYNC
     ks_cols[rng.integers(L)] = 0.0  # a step without SYNC in any column
@@ -450,7 +450,7 @@ def test_kernel_equals_numpy_steps_on_non_finite_phases(seed):
     Phi.flat[rng.choice(n * C, len(EDGES) + 3, replace=False)] = EDGES + [np.nan, np.inf, -np.inf]
     adj = sp.csr_matrix(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.3))
     noise = (rng.normal(size=(2, L * n)), *dyn._noise_rows([n], L), 0.1)
-    args = (adj, rng.normal(size=(n, 1)), rng.uniform(0.0, 0.2, (n, 1)),
+    args = (adj, rng.normal(size=(n, 1)), rng.uniform(0.0, 0.2),
             rng.normal(0.0, 0.1, (n, C)), noise)
     ks_cols = rng.uniform(0.0, 0.2, (L, C))
     ref, out = Phi.copy(), Phi.copy()

@@ -134,6 +134,13 @@ class TestSimulatedAnnealing:
         with pytest.raises(SpecificationError):
             SaParams(**{"iterations": 10, **kw})
 
+    @pytest.mark.parametrize("name", ["T_final", "T_initial"])
+    def test_temperature_beyond_the_float_range(self, name):
+        # an integer that no float holds: SpecificationError, not OverflowError
+        from oimsim import SpecificationError
+        with pytest.raises(SpecificationError, match=name):
+            SaParams(iterations=10, **{name: 10**400})
+
     def test_long_run_preset(self):
         sa = SaParams.long_run(flips=12345, seed=9)
         assert sa.iterations == 12345 and sa.seed == 9
