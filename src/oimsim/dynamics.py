@@ -200,6 +200,8 @@ class DynamicsParams:
         spc = self.steps_per_cycle
         if not (isinstance(spc, numbers.Real) and 1 <= spc < math.inf and int(spc) == spc):
             raise SpecificationError("steps_per_cycle must be a positive integer")
+        if spc >= 2**63 or self.cycles * spc >= 2**63:  # step counts are int64
+            raise SpecificationError("cycles * steps_per_cycle must be below 2**63")
 
     @property
     def dt(self):

@@ -6,6 +6,10 @@ at this boundary and nowhere else. The canonical writer emits edges sorted
 by (u, v) with single spaces and LF endings, so parse -> write -> parse is
 exact and a second write is byte-identical.
 
+A text of only ASCII digits, "+", "-", spaces and LFs (the writer's and the
+published files) is read in one np.loadtxt pass; any other, or any that pass
+rejects, line by line, so that reader alone names the bad line.
+
 The readers check only tokens and JSON types: edge lists are validated by
 problems._canonical_edges alone, and a row it rejects is reported at its
 G-set line number or its JSON path $.edges[k].
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError
-from .problems import IsingProblem, WeightedGraph, _RowError
+from .errors import ParseError, SpecificationError
+from .problems import _MAX_N, IsingProblem, WeightedGraph, _RowError
 
 __all__ = [
     "parse_gset", "write_gset", "load_gset",
@@ -59,7 +63,21 @@ def _int_rows(rows, count, path):
 
 def parse_gset(text, name=None):
     """Parse G-set/rudy text (str or bytes) into a WeightedGraph."""
-    lines = _decode(text).splitlines()
+    text = _decode(text)
+    # bytes that np.loadtxt and int() read alike: one C-level pass, and a text
+    # it rejects is read again line by line, which names the line
+    if text.isascii() and not text.encode().translate(None, b"0123456789+- \n"):
+        head, _, body = text.lstrip(" \n").partition("\n")
+        try:
+            n, m = map(int, head.split())
+            edges = (np.loadtxt(_stdio.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
+                     if body.strip() else np.empty((0, 3), dtype=np.int64))
+            if edges.shape == (m, 3):
+                edges[:, :2] -= 1
+                return WeightedGraph(n, edges, name=name)
+        except (ValueError, SpecificationError):
+            pass
+    lines = text.splitlines()
     rows = [(k + 1, tokens) for k, ln in enumerate(lines) if (tokens := ln.split())]
     if not rows:
         raise ParseError("empty input", line=1, path=name)
@@ -67,6 +85,8 @@ def parse_gset(text, name=None):
     n, m = _int_rows(rows[:1], 2, name)[0].tolist()
     if n < 1:
         raise ParseError("vertex count must be positive", line=header_line, path=name)
+    if n > _MAX_N:
+        raise ParseError("vertex count must be at most 2**31 - 1", line=header_line, path=name)
     if m < 0:
         raise ParseError("edge count must be nonnegative", line=header_line, path=name)
     if len(body) != m:
@@ -113,8 +133,8 @@ def read_ising_json(text):
     if "n" not in obj:
         fail("$.n", "missing required key")
     n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        fail("$.n", "n must be a positive integer")
+    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= _MAX_N:
+        fail("$.n", "n must be an integer from 1 to 2**31 - 1")
     edges_raw = obj.get("edges", [])
     if not isinstance(edges_raw, list):
         fail("$.edges", "edges must be a list")

@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 
+_MAX_N = 2**31 - 1  # indices are int32
+
+
 class _RowError(SpecificationError):
     """An edge list entry that _canonical_edges rejects: `row` is its
     position in the input, `kind` names the check it failed."""
@@ -42,7 +45,8 @@ class _RowError(SpecificationError):
 
 
 def _canonical_edges(n, edges, *, what="coupling", integer=False):
-    """Validate and sort an (i, j, value) edge list; returns int/float arrays.
+    """Validate and sort an (i, j, value) edge list on n nodes, 1 <= n <=
+    _MAX_N; returns int32/float64 arrays.
 
     Entries are normalized to i < j and sorted by (i, j). Self-loops,
     out-of-range indices, duplicate pairs, zero or non-finite values are
@@ -51,6 +55,8 @@ def _canonical_edges(n, edges, *, what="coupling", integer=False):
     rejection is a _RowError naming the first row that fails the check;
     for a duplicate pair, the first row whose pair already appeared.
     """
+    if not isinstance(n, (int, np.integer)) or not 1 <= n <= _MAX_N:
+        raise SpecificationError("n must be an integer from 1 to 2**31 - 1")
     edges = edges if isinstance(edges, np.ndarray) else list(edges)
     if len(edges) == 0:
         return (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32),
@@ -107,8 +113,6 @@ class IsingProblem:
     _adj: object = field(default=None, repr=False)
 
     def __init__(self, n, couplings=(), fields=None, name=None):
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise SpecificationError("n must be a positive integer")
         ei, ej, jv = _canonical_edges(n, couplings)
         if fields is None:
             h = np.zeros(n)
@@ -118,17 +122,22 @@ class IsingProblem:
                 raise DimensionError(f"fields must have length {n}")
             if not np.all(np.isfinite(h)):
                 raise SpecificationError("non-finite field value")
-        adj = sp.csr_matrix(
-            (np.concatenate([jv, jv]),
-             (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
-            shape=(n, n),
-        )
-        adj.sort_indices()
+        self._store(n, name, ei, ej, jv, h)
+
+    def _store(self, n, name, ei, ej, jv, h):
+        """Store checked, sorted edges and fields. CSR row r holds pairs (i, r),
+        then (r, j), each by column: the order a sort by (row, position) gives."""
+        rows = np.concatenate([ej, ei])  # positions fit in 32 bits below 2**31 edges
+        order = np.sort((rows.astype(np.int64) << 32) + np.arange(len(rows))) & 0xFFFFFFFF
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        adj = sp.csr_matrix((np.concatenate([jv, jv])[order],
+                             np.concatenate([ei, ej])[order], indptr), shape=(n, n))
         for a in (ei, ej, jv, h):
             a.setflags(write=False)
         for attr, value in (("n", n), ("name", name), ("_ei", ei),
                             ("_ej", ej), ("_jv", jv), ("_h", h), ("_adj", adj)):
             object.__setattr__(self, attr, value)
+        return self
 
     # --- views -----------------------------------------------------------
     @property
@@ -181,11 +190,10 @@ class WeightedGraph:
     _ew: np.ndarray = field(default=None, repr=False)
 
     def __init__(self, n_vertices, edges=(), name=None):
-        if not isinstance(n_vertices, (int, np.integer)) or n_vertices < 1:
-            raise SpecificationError("n_vertices must be a positive integer")
         eu, ev, ew = _canonical_edges(n_vertices, edges, what="edge", integer=True)
         ew = ew.astype(np.int64)
-        ew.setflags(write=False)
+        for a in (eu, ev, ew):  # maxcut_to_ising shares eu and ev
+            a.setflags(write=False)
         for attr, value in (("n_vertices", n_vertices), ("name", name),
                             ("_eu", eu), ("_ev", ev), ("_ew", ew)):
             object.__setattr__(self, attr, value)
@@ -264,9 +272,9 @@ def maxcut_to_ising(graph):
     For every spin configuration s,
         cut_value(graph, s) == (graph.total_weight - H(s)) / 2.
     """
-    eu, ev, ew = graph.edge_arrays
-    couplings = np.column_stack([eu, ev, -ew.astype(np.float64)]) if len(ew) else []
-    return IsingProblem(graph.n_vertices, couplings, name=graph.name)
+    eu, ev, ew = graph.edge_arrays  # checked and sorted already
+    return object.__new__(IsingProblem)._store(graph.n_vertices, graph.name, eu, ev,
+                                               -ew.astype(np.float64), np.zeros(graph.n_vertices))
 
 
 def cut_from_hamiltonian(H, total_weight):

@@ -54,3 +54,13 @@ def test_workflow_builds_the_kernel_with_the_loader_flags():
     at = build.index("-o")
     assert [f for f in build[1:at] if f != "-std=c99" and not f.startswith("-W")] == list(_CFLAGS)
     assert build[at + 2:] == ["src/oimsim/_step.c", "-lm"]
+
+
+def test_min_versions_job_pins_the_lower_bounds():
+    # the job installs exactly the oldest numpy and scipy pyproject.toml accepts
+    deps = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8").split("dependencies = [")[1]
+    bounds = dict(re.findall(r'"(\w+)>=([\d.]+)"', deps.split("]")[0]))
+    job = WORKFLOW.read_text(encoding="utf-8").split("min-versions:")[1]
+    pins = dict(re.findall(r'"(\w+)==([\d.]+)\.\*"', job))
+    assert bounds == pins == {"numpy": "1.24", "scipy": "1.10"}
+    assert "python -m pytest -q tests/test_io.py tests/test_problems.py" in job

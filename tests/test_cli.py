@@ -116,6 +116,12 @@ class TestSolve:
         assert run(["solve", "--input", ferro_json, "--cycles", "5", *flags]) == 2
         assert ("--threads" if flags else "OIM_THREADS") in capsys.readouterr().err
 
+    def test_step_count_beyond_int64_is_usage_error(self, ferro_json, capsys):
+        assert run(["solve", "--input", ferro_json, "--cycles", "1e300",
+                    "--steps-per-cycle", "10000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "below 2**63" in err
+
     def test_unknown_flag_rejected(self, ferro_json):
         assert run(["solve", "--input", ferro_json, "--frobnicate"]) == 2
 
@@ -257,6 +263,13 @@ class TestConvert:
         assert run(["convert", "--input", messy, "--from", "gset",
                     "--to", "gset"]) == 0
         assert capsys.readouterr().out == "3 2\n1 2 4\n2 3 -1\n"
+
+    def test_vertex_count_beyond_int32_is_parse_error(self, tmp_path, capsys):
+        big = tmp_path / "big.gset"
+        big.write_text("3000000000 1\n1 2 1\n")
+        assert run(["convert", "--input", big, "--to", "ising-json"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "line 1" in err and "2**31 - 1" in err
 
     def test_fields_block_gset_conversion(self, tmp_path):
         prob = tmp_path / "h.json"

@@ -114,6 +114,15 @@ class TestParamsChecks:
         with pytest.raises(SpecificationError, match=message):
             make()
 
+    @pytest.mark.parametrize("kw", [dict(cycles=1e300, steps_per_cycle=10**10),
+                                    dict(steps_per_cycle=10**400),
+                                    dict(cycles=2.0**62, steps_per_cycle=2)])
+    def test_step_count_beyond_int64_is_rejected(self, kw):
+        from oimsim import SpecificationError
+        with pytest.raises(SpecificationError, match="must be below 2\\*\\*63"):
+            DynamicsParams(**kw)
+        assert DynamicsParams(cycles=2.0**61, steps_per_cycle=2).total_steps == 2**62
+
     def test_checked_numbers_keep_their_type(self):
         # an integer K exports as it was given
         assert DynamicsParams(K=2).to_config()["K"] == 2

@@ -8,11 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oimsim
 from oimsim import (DimensionError, IsingProblem, SpecificationError,
                     WeightedGraph, cut_from_hamiltonian, cut_value,
-                    hamiltonian, maxcut_to_ising, random_spins)
+                    hamiltonian, maxcut_to_ising, random_spins, write_gset)
 
 
 def brute_min(problem):
@@ -67,12 +70,77 @@ class TestIsingProblem:
         assert np.array_equal(a, a.T)
         assert a[0, 1] == 1.0 and a[3, 1] == -2.0
 
+    def test_size_beyond_int32_rejected(self):
+        for n in (0, 2**31, 3_000_000_000):
+            with pytest.raises(SpecificationError, match="from 1 to 2\\*\\*31 - 1"):
+                IsingProblem(n, [])
+
     def test_equality(self):
         a = IsingProblem(2, [(0, 1, 1.0)])
         b = IsingProblem(2, [(0, 1, 1.0)], name="other")
         c = IsingProblem(2, [(0, 1, 2.0)])
         assert a == b  # name does not affect identity
         assert a != c
+
+
+def coo_csr(problem):
+    """The symmetric CSR as scipy builds it from COO triples."""
+    ei, ej, jv = problem.edge_arrays
+    adj = sp.csr_matrix((np.concatenate([jv, jv]),
+                         (np.concatenate([ei, ej]), np.concatenate([ej, ei]))),
+                        shape=(problem.n, problem.n))
+    adj.sort_indices()
+    return adj
+
+
+@st.composite
+def random_problems(draw):
+    """IsingProblems of 1..40 spins, edgeless to complete, with float or
+    integer couplings and with or without fields; or MAX-CUT mappings."""
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(len(iu)) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    ints = rng.integers(-3, 3, size=len(iu))
+    values = np.where(ints >= 0, ints + 1, ints) if draw(st.booleans()) else rng.normal(size=len(iu))
+    flip = rng.random(len(iu)) < 0.5
+    edges = list(zip(np.where(flip, ju, iu)[keep].tolist(), np.where(flip, iu, ju)[keep].tolist(),
+                     values[keep].tolist()))
+    rng.shuffle(edges)
+    if draw(st.booleans()):
+        return maxcut_to_ising(WeightedGraph(n, [(i, j, int(w) or 1) for i, j, w in edges]))
+    return IsingProblem(n, edges, fields=rng.normal(size=n) if draw(st.booleans()) else None)
+
+
+class TestAdjacency:
+    @settings(max_examples=150, deadline=None)
+    @given(random_problems())
+    def test_equals_scipy_coo_to_csr(self, problem):
+        got, want = problem.adjacency, coo_csr(problem)
+        assert type(got) is type(want) and got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert got.has_sorted_indices == want.has_sorted_indices
+        assert got.has_canonical_format == want.has_canonical_format
+
+    def test_edgeless(self):
+        adj = IsingProblem(3).adjacency
+        want = coo_csr(IsingProblem(3))
+        assert adj.nnz == 0 and np.array_equal(adj.indptr, want.indptr)
+        assert adj.indptr.dtype == want.indptr.dtype and adj.indices.dtype == want.indices.dtype
+
+    def test_mapping_equals_constructor(self):
+        g = WeightedGraph(5, [(3, 1, 2), (0, 4, -1), (2, 1, 7), (4, 3, 1)], name="g")
+        p = maxcut_to_ising(g)
+        q = IsingProblem(5, [(i, j, -w) for i, j, w in g.edges], name="g")
+        assert p == q and p.name == "g" and not p.has_fields
+        for a in (*p.edge_arrays, p.h):
+            assert not a.flags.writeable
+        for a, b in zip(p.edge_arrays, q.edge_arrays):
+            assert a.dtype == b.dtype
 
 
 class TestHamiltonian:
@@ -139,6 +207,18 @@ class TestWeightedGraph:
         g = WeightedGraph(3, [(0, 1, 1), (1, 2, 2)])
         assert g.total_weight == 3
         assert g.num_edges == 2
+
+    def test_vertex_count_beyond_int32_rejected(self):
+        with pytest.raises(SpecificationError, match="from 1 to 2\\*\\*31 - 1"):
+            WeightedGraph(3_000_000_000, [(2_500_000_000, 0, 1)])
+        # the largest index fits int32
+        g = WeightedGraph(2**31 - 1, [(2**31 - 2, 0, 1)])
+        assert g.edges == ((0, 2**31 - 2, 1),)
+        assert write_gset(g) == "2147483647 1\n1 2147483647 1\n"
+
+    def test_edge_arrays_are_read_only(self):
+        g = WeightedGraph(3, [(0, 1, 1), (1, 2, 2)])
+        assert not any(a.flags.writeable for a in g.edge_arrays)
 
     def test_non_integer_weight_rejected(self):
         with pytest.raises(SpecificationError):
