@@ -5,8 +5,6 @@ how the Lyapunov function decreases while the rounded Ising energy locks
 onto the final solution. The trace is plot-ready (time, E, H) data.
 """
 
-import numpy as np
-
 from oimsim import (Complete, DynamicsParams, KsSchedule, brute_force,
                     random_ising, simulate)
 

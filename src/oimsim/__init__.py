@@ -14,7 +14,7 @@ from .errors import (OimError, DimensionError, SpecificationError, ParseError,
 from .problems import (IsingProblem, WeightedGraph, as_spins, random_spins,
                        hamiltonian, cut_value, maxcut_to_ising,
                        cut_from_hamiltonian)
-from .generators import Complete, Torus, FixedEdges, random_ising
+from .generators import Complete, Torus, random_ising
 from .io import (parse_gset, write_gset, load_gset, read_ising_json,
                  write_ising_json, load_ising_json, BestKnownCatalog,
                  load_catalog, default_catalog)
@@ -32,7 +32,7 @@ __all__ = [
     "CapacityError", "NumericalDivergenceError",
     "IsingProblem", "WeightedGraph", "as_spins", "random_spins",
     "hamiltonian", "cut_value", "maxcut_to_ising", "cut_from_hamiltonian",
-    "Complete", "Torus", "FixedEdges", "random_ising",
+    "Complete", "Torus", "random_ising",
     "parse_gset", "write_gset", "load_gset", "read_ising_json",
     "write_ising_json", "load_ising_json", "BestKnownCatalog",
     "load_catalog", "default_catalog",

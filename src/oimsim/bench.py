@@ -70,7 +70,7 @@ class BenchmarkSpec:
             raise SpecificationError("params must be a DynamicsParams")
         _integer(self.runs, "runs", 1)
         _integer(self.seed_base, "seed_base", 0)
-        norm = []
+        norm = {}  # results, catalog lookups and stats() are keyed by name
         for entry in self.problems:
             if not (isinstance(entry, (tuple, list)) and len(entry) in (2, 3)):
                 raise SpecificationError(
@@ -78,12 +78,15 @@ class BenchmarkSpec:
             name, problem, *tw = entry
             if not isinstance(problem, IsingProblem):
                 raise SpecificationError(f"problem {name!r} is not an IsingProblem")
-            norm.append((str(name), problem, *_weights(tw or None, 1)))
-        object.__setattr__(self, "problems", tuple(norm))
+            if str(name) in norm:
+                raise SpecificationError(f"problem name {str(name)!r} appears more than once")
+            norm[str(name)] = (str(name), problem, *_weights(tw or None, 1))
+        object.__setattr__(self, "problems", tuple(norm.values()))
         brute = isinstance(self.oracle, str) and self.oracle == "brute"
         if not (brute or self.oracle is None or isinstance(self.oracle, BestKnownCatalog)):
             raise SpecificationError(f"unknown oracle {self.oracle!r}")
-        big = [name for name, problem, _ in norm if brute and problem.n > BRUTE_FORCE_MAX_N]
+        big = [name for name, problem, _ in self.problems
+               if brute and problem.n > BRUTE_FORCE_MAX_N]
         if big:
             raise CapacityError(f"oracle 'brute' refuses n > {BRUTE_FORCE_MAX_N}: {big}")
 
@@ -276,6 +279,8 @@ def histogram(values, reference=None, bins=10):
     _integer(bins, "bins", 1)
     if reference is not None:
         vals = vals - reference
+    if not np.all(np.isfinite(vals)):
+        raise SpecificationError("histogram values, minus the reference, must be finite")
     counts, edges = np.histogram(vals, bins=bins)
     return EnergyHistogram(edges=edges, counts=counts,
                            reference=None if reference is None else float(reference))

@@ -15,15 +15,17 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .bench import BenchmarkSpec, export, export_paths, run_benchmark, write_export
 from .dynamics import DEFAULTS, DynamicsParams, KsSchedule, _usable_cpus, simulate
 from .errors import (CapacityError, NumericalDivergenceError, OimError,
                      ParseError, SpecificationError, _integer)
 from .generators import Complete, Torus, random_ising
-from .io import (default_catalog, load_catalog, load_gset, load_ising_json,
-                 parse_gset, write_gset, write_ising_json)
+from .io import (default_catalog, load_catalog, load_gset, load_ising_json, write_gset,
+                 write_ising_json)
 from .oracles import SaParams, brute_force, simulated_annealing
-from .problems import WeightedGraph, cut_value, maxcut_to_ising
+from .problems import WeightedGraph, maxcut_to_ising
 
 TRACE_MAX_POINTS = 10_000
 
@@ -236,25 +238,16 @@ def _cmd_bench(args):
 
 
 def _cmd_convert(args):
-    src = _infer_format(args.input, args.from_format)
-    dst = args.to
-    if src == "gset":
-        graph = load_gset(args.input)
-        if dst == "gset":
-            _emit(write_gset(graph), args.out)
-            return 0
-        problem = maxcut_to_ising(graph)
-        _emit(write_ising_json(problem), args.out)
-        return 0
-    problem = load_ising_json(args.input)
-    if dst == "ising-json":
+    """Write the problem solve would load; G-set needs no fields and integer w = -J."""
+    _, problem, _ = _load_problem(args.input, args.from_format)
+    if args.to == "ising-json":
         _emit(write_ising_json(problem), args.out)
         return 0
     if problem.has_fields:
         raise ParseError("cannot convert to gset: problem has nonzero fields h")
     ei, ej, jv = problem.edge_arrays
     try:
-        graph = WeightedGraph(problem.n, zip(ei, ej, -jv), name=problem.name)
+        graph = WeightedGraph(problem.n, np.column_stack((ei, ej, -jv)), name=problem.name)
     except SpecificationError as e:
         raise ParseError(f"cannot convert to gset: {e}") from None
     _emit(write_gset(graph), args.out)

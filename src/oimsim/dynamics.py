@@ -670,7 +670,7 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     return Phi, tuple(np.array(x) for x in zip(*samples)) if trace_points else None
 
 
-def _runs(problem, params, seeds, total_weight, initial_phases=None, trace_points=0):
+def _runs(problem, params, seeds, total_weight, trace_points=0):
     """Integrate a batch and build one RunResult per (variant, problem, seed).
 
     Rounds the final phases, scores H and the cut, splits the integration's
@@ -685,8 +685,7 @@ def _runs(problem, params, seeds, total_weight, initial_phases=None, trace_point
                        len(group))
     B = len(seeds)
     t0 = time.perf_counter()
-    Phi, trace = _integrate_batch(group, variants, seeds, initial_phases=initial_phases,
-                                  trace_points=trace_points)
+    Phi, trace = _integrate_batch(group, variants, seeds, trace_points=trace_points)
     spins_mat = round_phases(Phi)
     wall = (time.perf_counter() - t0) / (len(variants) * len(group) * B)
     energy_trace = None if trace is None else EnergyTrace(*trace)
@@ -705,14 +704,14 @@ def _runs(problem, params, seeds, total_weight, initial_phases=None, trace_point
     return out
 
 
-def simulate(problem, params=None, seed=0, *, total_weight=None,
-             trace_points=0, initial_phases=None):
-    """Run one full simulation and threshold the final phases to spins.
+def simulate(problem, params=None, seed=0, *, total_weight=None, trace_points=0):
+    """Run one IsingProblem under one DynamicsParams and threshold the final
+    phases to spins; run_seeds runs several seeds, problems or variants.
 
-    Phases start i.i.d. uniform on [0, 2*pi) (from the seed's init stream,
-    unless `initial_phases` overrides them), detuning and noise come from
-    the seed's other substreams, and the state advances until time reaches
-    params.cycles. Deterministic given (problem, params, seed).
+    Phases start i.i.d. uniform on [0, 2*pi) from the seed's init stream,
+    detuning and noise come from the seed's other substreams, and the state
+    advances until time reaches params.cycles. Deterministic given
+    (problem, params, seed).
 
     total_weight, when given, also reports the MAX-CUT value of the final
     spins. trace_points, an integer >= 0, asks for an energy trace of
@@ -724,12 +723,14 @@ def simulate(problem, params=None, seed=0, *, total_weight=None,
     """
     if params is None:
         params = DynamicsParams()
-    return _runs(problem, params, [seed], total_weight, initial_phases=initial_phases,
-                 trace_points=trace_points)[0]
+    if not (isinstance(problem, IsingProblem) and isinstance(params, DynamicsParams)):
+        raise SpecificationError("simulate runs one IsingProblem under one DynamicsParams; "
+                                 "run_seeds takes groups and variants")
+    return _runs(problem, params, [seed], total_weight, trace_points=trace_points)[0]
 
 
 def run_seeds(problem, params, seeds, *, total_weight=None):
-    """Simulate several seeds batched as one vectorized integration.
+    """Simulate seeds (any iterable) batched as one vectorized integration.
 
     `problem` is one IsingProblem or a group (sequence) of them, packed
     into one block-diagonal integration; for a group, total_weight is None
@@ -737,11 +738,12 @@ def run_seeds(problem, params, seeds, *, total_weight=None):
     one DynamicsParams or a tuple of variants that agree on K, noise_amp,
     cycles and steps_per_cycle; they share one integration and each seed's
     draws. Returns one RunResult per (variant, problem, seed):
-    variant-major, then problem-major, then by seed. Results are identical to calling simulate() per variant, problem
-    and seed; batching and packing only amortize per-step overhead, and
-    each run's wall_time is an even share of the integration's. Used by
-    the benchmark harness.
+    variant-major, then problem-major, then by seed. Results are identical
+    to calling simulate() per variant, problem and seed; batching and
+    packing only amortize per-step overhead, and each run's wall_time is an
+    even share of the integration's. Used by the benchmark harness.
     """
-    if len(seeds) == 0:
+    seeds = list(seeds)
+    if not seeds:
         return []
-    return _runs(problem, params, list(seeds), total_weight)
+    return _runs(problem, params, seeds, total_weight)

@@ -1,6 +1,6 @@
 """Random Ising instance generators over fixed coupling topologies.
 
-Three topologies are supported:
+Two topologies are supported:
 
 * ``Complete()`` -- every pair drawn uniformly from {0, -1, +1}; zero draws
   store no coupling.
@@ -9,7 +9,6 @@ Three topologies are supported:
   neighbors per cell are added (degree 6), approximating the 192-coupling
   8x8 hardware grid; which two diagonals that hardware used is not public,
   so this flag is a documented approximation.
-* ``FixedEdges(edges)`` -- each listed edge drawn from {-1, +1}.
 
 Generation is a deterministic function of (n, topology, seed).
 """
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import SpecificationError, _integer
 from .problems import IsingProblem
 
-__all__ = ["Complete", "Torus", "FixedEdges", "random_ising"]
+__all__ = ["Complete", "Torus", "random_ising"]
 
 _GENERATOR_STREAM = 3  # RNG stream id, see dynamics module for the others
 
@@ -38,14 +37,6 @@ class Torus:
     rows: int
     cols: int
     diagonals: bool = False
-
-
-@dataclass(frozen=True)
-class FixedEdges:
-    edges: tuple
-
-    def __init__(self, edges):
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in edges))
 
 
 def _generator(seed):
@@ -96,11 +87,6 @@ def random_ising(n, topology, seed):
         couplings = np.column_stack([eu, ev, vals])
         tag = "d" if topology.diagonals else ""
         name = f"torus{tag}-{topology.rows}x{topology.cols}-seed{seed}"
-    elif isinstance(topology, FixedEdges):
-        edges = topology.edges
-        vals = (rng.integers(0, 2, size=len(edges)) * 2 - 1).astype(np.float64)
-        couplings = [(u, v, w) for (u, v), w in zip(edges, vals)]
-        name = f"edges-{n}-seed{seed}"
     else:
         raise SpecificationError(f"unknown topology {topology!r}")
     return IsingProblem(n, couplings, name=name)

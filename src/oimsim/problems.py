@@ -95,6 +95,12 @@ def _canonical_edges(n, edges, *, what="coupling", integer=False):
     return (lo[order].astype(np.int32), hi[order].astype(np.int32), vv[order])
 
 
+def _check_name(name):
+    if not (name is None or isinstance(name, str)):
+        raise SpecificationError(f"name must be a string or None, not {type(name).__name__}")
+    return name
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class IsingProblem:
     """A sparse Ising problem: couplings J_ij (i < j) and local fields h_i.
@@ -122,7 +128,7 @@ class IsingProblem:
                 raise DimensionError(f"fields must have length {n}")
             if not np.all(np.isfinite(h)):
                 raise SpecificationError("non-finite field value")
-        self._store(n, name, ei, ej, jv, h)
+        self._store(n, _check_name(name), ei, ej, jv, h)
 
     def _store(self, n, name, ei, ej, jv, h):
         """Store checked, sorted edges and fields. CSR row r holds pairs (i, r),
@@ -194,7 +200,7 @@ class WeightedGraph:
         ew = ew.astype(np.int64)
         for a in (eu, ev, ew):  # maxcut_to_ising shares eu and ev
             a.setflags(write=False)
-        for attr, value in (("n_vertices", n_vertices), ("name", name),
+        for attr, value in (("n_vertices", n_vertices), ("name", _check_name(name)),
                             ("_eu", eu), ("_ev", ev), ("_ew", ew)):
             object.__setattr__(self, attr, value)
 

@@ -133,6 +133,13 @@ class TestRunBenchmark:
         with pytest.raises(SpecificationError):
             BenchmarkSpec(problems=(entry,), params=quick_params(), runs=1)
 
+    @pytest.mark.parametrize("names", [("same", "same"), ("a", "same", 1, "same"), (1, "1")])
+    def test_repeated_problem_name_rejected(self, names):
+        # results, catalog lookups and stats(name) are keyed by name
+        entries = tuple((name, FERRO2) for name in names)
+        with pytest.raises(SpecificationError, match="appears more than once"):
+            BenchmarkSpec(problems=entries, params=quick_params(), runs=1)
+
 
 class TestPlanner:
     def test_packs_consecutive_small_problems(self):
@@ -229,6 +236,16 @@ class TestHistogram:
     def test_bins_must_be_a_positive_integer(self, bins):
         with pytest.raises(SpecificationError, match="bins"):
             histogram([1.0, 2.0], bins=bins)
+
+    @pytest.mark.parametrize("values, reference", [
+        ([1.0, float("nan")], None), ([float("inf"), 1.0], None), ([1.0, -np.inf], 2.0),
+        ([1.0, 2.0], float("nan")), ([1.0, 2.0], float("inf")), ([1e308, 2.0], -1e308),
+    ], ids=["nan_value", "inf_value", "minus_inf_value", "nan_reference", "inf_reference",
+            "overflowing_distance"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_rejected(self, values, reference):
+        with pytest.raises(SpecificationError, match="finite"):
+            histogram(values, reference=reference)
 
     def test_random_energy_baseline_centered(self):
         # mean H of random spins on a random +-1/0 instance is ~0

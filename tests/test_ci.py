@@ -5,6 +5,7 @@ guard against its commands drifting from ROADMAP.md's tier-1 command and
 from the demos, which smoke-test the public API.
 """
 
+import ast
 import re
 
 import pytest
@@ -64,3 +65,37 @@ def test_min_versions_job_pins_the_lower_bounds():
     pins = dict(re.findall(r'"(\w+)==([\d.]+)\.\*"', job))
     assert bounds == pins == {"numpy": "1.24", "scipy": "1.10"}
     assert "python -m pytest -q tests/test_io.py tests/test_problems.py" in job
+
+
+def unused_imports(path):
+    """Names a module imports and never reads; names in a literal __all__
+    and __future__ imports count as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted((REPO_ROOT / "src" / "oimsim").glob("*.py"))
+                         + sorted((REPO_ROOT / "demos").glob("*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_unused_import_finder(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from __future__ import annotations\n"
+                      "import os.path\nimport numpy as np\nimport sys\n"
+                      "from json import dumps, loads as _loads\nfrom re import sub\n"
+                      "__all__ = ['sub']\nprint(np.pi, os.sep, dumps)\n")
+    assert unused_imports(module) == [(4, "sys"), (5, "_loads")]

@@ -241,6 +241,19 @@ class TestBench:
         obj = json.loads(out.read_text())
         assert obj["problems"][0]["success"] is not None
 
+    def test_repeated_problem_name_is_usage_error(self, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        for fname, n in (("a.json", 2), ("b.json", 3)):
+            (suite / fname).write_text(write_ising_json(
+                IsingProblem(n, [(0, 1, 1.0)], name="same")))
+        out = tmp_path / "bench.json"
+        assert run(["bench", "--suite", suite, "--runs", "1", "--cycles", "5",
+                    "--threads", "1", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'same'" in err
+        assert not out.exists()
+
     def test_bench_empty_suite(self, tmp_path):
         suite = tmp_path / "empty"
         suite.mkdir()
@@ -263,6 +276,32 @@ class TestConvert:
         assert run(["convert", "--input", messy, "--from", "gset",
                     "--to", "gset"]) == 0
         assert capsys.readouterr().out == "3 2\n1 2 4\n2 3 -1\n"
+
+    def test_gset_bytes_survive_both_routes(self, tmp_path, capsys):
+        # CRLF input, weights at the 2**53 bound: gset -> gset and
+        # gset -> ising-json -> gset both give the canonical text
+        big = 2**53 - 1
+        src = tmp_path / "big.gset"
+        src.write_bytes(f"4 3\r\n3 4 {-big}\r\n1 2 {big}\r\n2 3 7\r\n".encode())
+        canonical = f"4 3\n1 2 {big}\n2 3 7\n3 4 {-big}\n"
+        assert run(["convert", "--input", src, "--to", "gset"]) == 0
+        assert capsys.readouterr().out == canonical
+        mid = tmp_path / "mid.json"
+        assert run(["convert", "--input", src, "--to", "ising-json", "--out", mid]) == 0
+        assert json.loads(mid.read_text())["name"] == "big.gset"
+        assert run(["convert", "--input", mid, "--to", "gset"]) == 0
+        assert capsys.readouterr().out == canonical
+
+    @pytest.mark.parametrize("coupling, reason", [
+        (1.5, "must be integers"), (2.0**53, "below 2**53")], ids=["float", "2**53"])
+    def test_non_integer_weights_block_gset_conversion(self, tmp_path, capsys,
+                                                       coupling, reason):
+        prob = tmp_path / "j.json"
+        prob.write_text(write_ising_json(IsingProblem(3, [(0, 1, 1.0), (1, 2, coupling)])))
+        assert run(["convert", "--input", prob, "--to", "gset"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("oimsim: cannot convert to gset: ") and reason in err
 
     def test_vertex_count_beyond_int32_is_parse_error(self, tmp_path, capsys):
         big = tmp_path / "big.gset"

@@ -319,13 +319,14 @@ class TestSimulate:
             assert r.final_H == single.final_H
 
     def test_global_flip_symmetry(self):
+        from oimsim.dynamics import _integrate_batch
         p = random_problem(10, 4)  # h = 0
         prm = params_with(cycles=10.0)
         phi0 = np.random.default_rng(3).uniform(0, 2 * np.pi, 10)
-        a = simulate(p, prm, seed=5, initial_phases=phi0)
-        b = simulate(p, prm, seed=5, initial_phases=phi0 + np.pi)
-        assert a.final_H == b.final_H
-        assert np.array_equal(a.final_spins, -b.final_spins)
+        a, b = (round_phases(_integrate_batch(p, prm, [5], initial_phases=phi)[0][:, 0])
+                for phi in (phi0, phi0 + np.pi))
+        assert hamiltonian(p, a) == hamiltonian(p, b)
+        assert np.array_equal(a, -b)
 
     def test_variability_changes_nothing_at_zero(self):
         import dataclasses
@@ -361,8 +362,9 @@ class TestSimulate:
         p = IsingProblem(3, [(0, 1, 1e308), (0, 2, 1e308)])
         prm = params_with(ks_level=0.0, noise_amp=0.0, cycles=1.0,
                           steps_per_cycle=1)
+        from oimsim.dynamics import _integrate_batch
         with pytest.raises(NumericalDivergenceError) as ei:
-            simulate(p, prm, seed=0, initial_phases=np.zeros(3))
+            _integrate_batch(p, prm, [0], initial_phases=np.zeros(3))
         assert ei.value.step is not None
 
 
@@ -396,9 +398,10 @@ class TestTraceSampler:
         p = random_problem(6, 9, with_fields=True)
         prm = params_with(ks_level=0.7, K=1.3, cycles=2.0, steps_per_cycle=4, noise_amp=0.2)
         phi = np.random.default_rng(5).uniform(0.0, 2 * np.pi, 6)
-        tr = simulate(p, prm, seed=1, trace_points=3, initial_phases=phi).trajectory_energy
-        assert tr.times[0] == 0.0
-        assert tr.lyapunov[0] == lyapunov(p, PhaseState(phi), prm)
+        from oimsim.dynamics import _integrate_batch
+        _, (times, E, _) = _integrate_batch(p, prm, [1], initial_phases=phi, trace_points=3)
+        assert times[0] == 0.0
+        assert E[0] == lyapunov(p, PhaseState(phi), prm)
 
     @pytest.mark.parametrize("bad", [-5, 2.5, "3", None])
     def test_trace_points_must_be_an_integer(self, bad):
@@ -414,7 +417,7 @@ class TestTraceSampler:
         p = random_problem(4, 1)
         phi = np.array([0.1, bad, 0.3, 0.4])
         with pytest.raises(SpecificationError, match="finite"):
-            simulate(p, params_with(cycles=1.0), seed=0, initial_phases=phi)
+            _integrate_batch(p, params_with(cycles=1.0), [0], initial_phases=phi)
         with pytest.raises(SpecificationError, match="finite"):
             _integrate_batch(p, params_with(cycles=1.0), [0, 1],
                              initial_phases=np.column_stack([np.zeros(4), phi]))
@@ -453,6 +456,26 @@ class TestPackedGroups:
             run_seeds([], params_with(cycles=1.0), [1])
         with pytest.raises(SpecificationError, match="IsingProblem"):
             simulate([], params_with(cycles=1.0))
+
+    @pytest.mark.parametrize("what", ["group", "one_problem_group", "variants",
+                                      "one_variant_tuple"])
+    def test_simulate_runs_exactly_one_run(self, what):
+        # simulate returns one run, so it takes exactly one problem and one variant
+        from oimsim import SpecificationError
+        p, prm = random_problem(4, 1), params_with(cycles=1.0)
+        args = {"group": ([p, p], prm), "one_problem_group": ((p,), prm),
+                "variants": (p, (prm, prm.without_sync())),
+                "one_variant_tuple": (p, (prm,))}[what]
+        with pytest.raises(SpecificationError, match="run_seeds"):
+            simulate(*args, seed=0)
+
+    def test_run_seeds_takes_any_iterable(self):
+        p, prm = random_problem(5, 2), params_with(cycles=2.0, noise_amp=0.1)
+        ref = run_seeds(p, prm, [0, 1, 2])
+        got = run_seeds(p, prm, (s for s in range(3)))
+        assert [(r.seed, r.final_H) for r in got] == [(r.seed, r.final_H) for r in ref]
+        assert all(np.array_equal(a.final_spins, b.final_spins) for a, b in zip(got, ref))
+        assert run_seeds(p, prm, iter(())) == []
 
     @pytest.mark.parametrize("problems, total_weight", [
         (1, (3, 4)), (1, (3,)), (1, "3"), (1, math.nan), (1, math.inf), (1, 10 ** 400),

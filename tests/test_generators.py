@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oimsim import Complete, FixedEdges, SpecificationError, Torus, random_ising
+from oimsim import Complete, SpecificationError, Torus, random_ising
 
 
 class TestTorus:
@@ -66,15 +66,3 @@ class TestComplete:
         assert a == b
         c = random_ising(25, Complete(), seed=12)
         assert a != c
-
-
-class TestFixedEdges:
-    def test_listed_edges_only(self):
-        topo = FixedEdges([(0, 1), (2, 3)])
-        p = random_ising(4, topo, seed=5)
-        assert [(i, j) for i, j, _ in p.couplings] == [(0, 1), (2, 3)]
-        assert all(v in (-1.0, 1.0) for _, _, v in p.couplings)
-
-    def test_determinism(self):
-        topo = FixedEdges([(0, 1), (1, 2), (0, 3)])
-        assert random_ising(4, topo, seed=9) == random_ising(4, topo, seed=9)

@@ -34,6 +34,16 @@ class TestIsingProblem:
         assert p.couplings == ((0, 1, 1.0), (1, 2, -2.0))
         assert p.h[0] == 0.5
 
+    @pytest.mark.parametrize("name", [5, Path("p.json"), b"p", 1.5, ["p"]])
+    @pytest.mark.parametrize("build", [lambda name: IsingProblem(2, [(0, 1, 1.0)], name=name),
+                                       lambda name: WeightedGraph(2, [(0, 1, 1)], name=name)],
+                             ids=["ising", "graph"])
+    def test_name_must_be_a_string_or_none(self, build, name):
+        # a name goes into Ising JSON, which reads back only strings
+        with pytest.raises(SpecificationError, match="name must be a string or None"):
+            build(name)
+        assert build("p").name == "p" and build(None).name is None
+
     def test_edges_normalized_and_sorted(self):
         p = IsingProblem(3, [(2, 1, -1.0), (1, 0, 2.0)])
         assert p.couplings == ((0, 1, 2.0), (1, 2, -1.0))
