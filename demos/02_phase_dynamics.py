@@ -14,19 +14,19 @@ params = DynamicsParams(cycles=200.0,
                         ks_schedule=KsSchedule.ramp(0, 50, 1.0))
 
 run = simulate(problem, params, seed=0, trace_points=17)
-tr = run.trajectory_energy
+tr = run.trace
 
 print(f"random 16-spin instance, exact minimum H* = {exact:g}\n")
 print(f"{'time':>8} {'lyapunov':>12} {'rounded H':>10}")
 for t, e, h in zip(tr.times, tr.lyapunov, tr.rounded_H):
     print(f"{t:8.1f} {e:12.3f} {h:10.0f}")
 
-print(f"\nfinal H = {run.final_H:g} (optimal: {run.final_H == exact})")
-print(f"final spins: {''.join('+' if s > 0 else '-' for s in run.final_spins)}")
+print(f"\nfinal H = {run.H:g} (optimal: {run.H == exact})")
+print(f"final spins: {''.join('+' if s > 0 else '-' for s in run.spins)}")
 
 # without SYNC the phases stay spread over the circle instead of locking
 # to the two binary values
 no_sync = DynamicsParams(cycles=200.0).without_sync()
 run2 = simulate(problem, no_sync, seed=0)
-print(f"\nno-SYNC ablation: H = {run2.final_H:g} "
+print(f"\nno-SYNC ablation: H = {run2.H:g} "
       f"(thresholded from non-binary phases)")

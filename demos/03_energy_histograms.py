@@ -19,7 +19,7 @@ rng = np.random.default_rng(0)
 inst = random_ising(240, Complete(), seed=0)
 random_h = [hamiltonian(inst, random_spins(240, rng)) for _ in range(200)]
 runs = run_seeds(inst, params, seeds=list(range(40)))
-measured_h = [r.final_H for r in runs]
+measured_h = [r.H for r in runs]
 
 print(f"random assignments: mean H = {np.mean(random_h):8.1f}")
 print(f"oscillator runs:    mean H = {np.mean(measured_h):8.1f} "
@@ -34,5 +34,5 @@ for seed in range(5):
     inst = random_ising(240, Complete(), seed=seed)
     _, ref_H = simulated_annealing(inst, SaParams.long_run(2_000_000, seed=0))
     for r in run_seeds(inst, params, seeds=list(range(20))):
-        distances.append(r.final_H - ref_H)
+        distances.append(r.H - ref_H)
 print(export(histogram(distances, bins=8), "csv"))

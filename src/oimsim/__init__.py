@@ -22,7 +22,7 @@ from .dynamics import (DEFAULTS, KsSchedule, DynamicsParams, PhaseState,
                        RunResult, EnergyTrace, sample_detuning, drift,
                        lyapunov, step, round_phases, simulate, run_seeds)
 from .oracles import BruteForceResult, brute_force, SaParams, simulated_annealing
-from .bench import (BenchmarkSpec, RunRecord, ProblemStats, RunSummary,
+from .bench import (BenchmarkSpec, ProblemStats, RunSummary,
                     EnergyHistogram, run_benchmark, histogram,
                     ablation_compare, AblationResult, export, write_export)
 
@@ -40,7 +40,7 @@ __all__ = [
     "EnergyTrace", "sample_detuning", "drift", "lyapunov",
     "step", "round_phases", "simulate", "run_seeds",
     "BruteForceResult", "brute_force", "SaParams", "simulated_annealing",
-    "BenchmarkSpec", "RunRecord", "ProblemStats", "RunSummary",
+    "BenchmarkSpec", "ProblemStats", "RunSummary",
     "EnergyHistogram", "run_benchmark", "histogram", "ablation_compare",
     "AblationResult", "export", "write_export",
 ]

@@ -12,8 +12,10 @@ threads of its own. Units and seeding depend only on the spec, and every
 (problem, seed) run is bit-identical whether it executes singly, batched,
 packed, beside other variants or on any thread, so results are identical
 for any parallelism degree and rerunning a spec reproduces every per-run
-record. A run's secs is its unit's wall time split evenly among all the
-unit's runs, of every variant.
+record. A record is the dynamics.RunResult that run_seeds returns, named
+for its spec's problem; summaries and exports read it, and keep no copy.
+A run's secs is its unit's wall time split evenly among all the unit's
+runs, of every variant.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .oracles import BRUTE_FORCE_MAX_N, brute_force
 from .problems import IsingProblem
 
 __all__ = [
-    "BenchmarkSpec", "RunRecord", "ProblemStats", "RunSummary",
+    "BenchmarkSpec", "ProblemStats", "RunSummary",
     "EnergyHistogram", "run_benchmark", "histogram", "ablation_compare",
     "AblationResult", "export", "export_paths", "write_export",
 ]
@@ -94,17 +96,8 @@ class BenchmarkSpec:
         return [self.seed_base + k for k in range(self.runs)]
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    problem: str
-    seed: int
-    H: float
-    cut: float | None
-    secs: float
-
-
 def _over_records(fn, attr):
-    """Read-only fn of one RunRecord attribute; None when a record lacks it."""
+    """Read-only fn of one RunResult attribute; None when a record lacks it."""
     def get(self):
         values = [getattr(r, attr) for r in self.records]
         return None if None in values else fn(values)
@@ -113,7 +106,8 @@ def _over_records(fn, attr):
 
 @dataclass(frozen=True)
 class ProblemStats:
-    """One problem's runs; every aggregate is computed from its records."""
+    """One problem's runs, as dynamics.RunResults named for the spec's
+    problem; every aggregate is computed from these records."""
 
     name: str
     success: int | None
@@ -136,17 +130,20 @@ class ProblemStats:
 class RunSummary:
     """Per-problem statistics of one spec.
 
-    total_secs is the summed per-run time; wall_secs is the wall time of
-    the run_benchmark call that produced it (shared by every variant it
-    ran).
+    total_secs is the summed per-run time of its records; wall_secs is the
+    wall time of the run_benchmark call that produced it (shared by every
+    variant it ran).
     """
 
     problems: tuple
     runs: int
     seed_base: int
     params_config: dict
-    total_secs: float
     wall_secs: float
+
+    @property
+    def total_secs(self):
+        return sum(r.secs for p in self.problems for r in p.records)
 
     def stats(self, name):
         for p in self.problems:
@@ -189,13 +186,11 @@ def _success_count(spec, name, problem, records):
 
 
 def _aggregate(spec, name, problem, results):
-    records = tuple(RunRecord(name, r.seed, r.final_H, r.final_cut, r.wall_time)
-                    for r in results)
-    best_idx = int(np.argmin([r.H for r in records]))
+    records = tuple(replace(r, problem=name) for r in results)
     return ProblemStats(
         name=name,
         success=_success_count(spec, name, problem, records),
-        best_spins=results[best_idx].final_spins,
+        best_spins=records[int(np.argmin([r.H for r in records]))].spins,
         records=records,
     )
 
@@ -253,9 +248,7 @@ def run_benchmark(spec, parallelism=1):
     wall = time.perf_counter() - t0
     summaries = [RunSummary(problems=tuple(st), runs=s.runs,
                             seed_base=s.seed_base,
-                            params_config=prm.to_config(),
-                            total_secs=sum(r.secs for p in st for r in p.records),
-                            wall_secs=wall)
+                            params_config=prm.to_config(), wall_secs=wall)
                  for s, prm, st in zip(specs, variants, stats)]
     return summaries[0] if isinstance(spec, BenchmarkSpec) else summaries
 
@@ -273,17 +266,19 @@ class EnergyHistogram:
 
 def histogram(values, reference=None, bins=10):
     """Bin values (minus the reference, when given) into equal-width bins."""
-    vals = np.asarray(list(values), dtype=np.float64)
+    try:
+        vals = np.asarray(list(values), dtype=np.float64)
+        if reference is not None:
+            vals, reference = vals - reference, float(reference)
+    except (TypeError, ValueError, OverflowError):  # not numbers, not iterable, too big
+        raise SpecificationError("histogram values and reference must be real numbers") from None
     if vals.size == 0:
         raise SpecificationError("histogram needs at least one value")
     _integer(bins, "bins", 1)
-    if reference is not None:
-        vals = vals - reference
     if not np.all(np.isfinite(vals)):
         raise SpecificationError("histogram values, minus the reference, must be finite")
     counts, edges = np.histogram(vals, bins=bins)
-    return EnergyHistogram(edges=edges, counts=counts,
-                           reference=None if reference is None else float(reference))
+    return EnergyHistogram(edges=edges, counts=counts, reference=reference)
 
 
 # --- ablations ---------------------------------------------------------------

@@ -168,7 +168,7 @@ def _cmd_solve(args):
     if args.trace is not None:
         run = simulate(problem, params, seed=args.seed, total_weight=total_weight,
                        trace_points=TRACE_MAX_POINTS)
-        tr = run.trajectory_energy
+        tr = run.trace
         lines = ["time,lyapunov,rounded_H"]
         lines += [f"{t!r},{e!r},{h!r}" for t, e, h in
                   zip(tr.times.tolist(), tr.lyapunov.tolist(), tr.rounded_H.tolist())]

@@ -24,9 +24,9 @@ coincide with Ising minima. Integration is fixed-step Euler-Maruyama:
 
     phi <- wrap(phi + drift * dt + noise_amp * sqrt(dt) * xi)
 
-where wrap is exactly np.mod(., 2*pi), bit for bit. One coupling kernel,
-_coupling, computes K*dt times the coupling and field terms plus the SYNC
-term for drift(), step() and the batch integrator alike, so their
+where wrap is np.mod(., 2*pi), bit for bit on both paths. One coupling
+kernel, _coupling, computes K*dt times the coupling and field terms plus
+the SYNC term for drift(), step() and the batch integrator alike, so their
 arithmetic is identical; the sin(2 phi) term is computed as
 2 sin(phi) cos(phi) everywhere. One numpy step, _steps, serves step(),
 the batch integrator and the kernel's self-check; it adds every term, as
@@ -270,14 +270,18 @@ class EnergyTrace:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one simulation run."""
+    """One run: its problem's name, seed, final spins, their H and cut (None
+    without a total weight), its share of the integration's wall time in
+    secs, and its energy trace, when one was asked for. Runs compare and
+    hash by the scalar fields; the arrays take no part."""
 
-    final_spins: np.ndarray
-    final_H: float
-    final_cut: float | None
+    problem: str | None
     seed: int
-    wall_time: float
-    trajectory_energy: EnergyTrace | None = None
+    spins: np.ndarray = field(compare=False)
+    H: float
+    cut: float | None
+    secs: float
+    trace: EnergyTrace | None = field(default=None, compare=False)
 
 
 def sample_detuning(n, variability_pct, seed):
@@ -342,26 +346,6 @@ def lyapunov(problem, state, params):
     return float(e[0])
 
 
-def _wrap(Phi):
-    """Phi mod 2*pi in place, bit for bit equal to np.mod(Phi, 2*pi).
-
-    On [-2*pi, 4*pi) one subtraction or addition of 2*pi does it: x - 2*pi
-    is exact for x in [2*pi, 4*pi), where np.mod's fmod is exact too, and
-    for x in [-2*pi, 0) np.mod also rounds x + 2*pi once (so a tiny
-    negative x becomes 2*pi in both). Both masks come from the unwrapped
-    values, and adding +0.0 turns -0 into +0 as np.mod does. NaN, inf or
-    values out of that range take np.mod itself.
-    """
-    if not (Phi.min() >= -TWO_PI and Phi.max() < 2.0 * TWO_PI):
-        np.mod(Phi, TWO_PI, out=Phi)
-        return
-    hi = Phi >= TWO_PI
-    lo = Phi < 0.0
-    np.subtract(Phi, TWO_PI, out=Phi, where=hi)
-    np.add(Phi, TWO_PI, out=Phi, where=lo)
-    Phi += 0.0
-
-
 def _coupling(Phi, adj, h_col, Kdt, ks2dt):
     """-dt times the drift without detuning, for an (n, C) phase matrix.
 
@@ -392,7 +376,7 @@ def _steps(Phi, adj, h_col, Kdt, dt_dw, noise, ks_cols):
         Phi -= _coupling(Phi, adj, h_col, Kdt, ks_cols[k])
         Phi += dt_dw
         blocks += (scale * z[:, base + k * stride].T)[:, None, :]
-        _wrap(Phi)
+        np.mod(Phi, TWO_PI, out=Phi)
 
 
 def _noise_rows(sizes, L):
@@ -697,9 +681,7 @@ def _runs(problem, params, seeds, total_weight, trace_points=0):
                 spins = spins_mat[row:row + p.n, v * B + b]
                 H = hamiltonian(p, spins)
                 cut = cut_from_hamiltonian(H, tw) if tw is not None else None
-                out.append(RunResult(final_spins=spins, final_H=H, final_cut=cut,
-                                     seed=seed, wall_time=wall,
-                                     trajectory_energy=energy_trace))
+                out.append(RunResult(p.name, seed, spins, H, cut, wall, energy_trace))
             row += p.n
     return out
 
@@ -740,7 +722,7 @@ def run_seeds(problem, params, seeds, *, total_weight=None):
     draws. Returns one RunResult per (variant, problem, seed):
     variant-major, then problem-major, then by seed. Results are identical
     to calling simulate() per variant, problem and seed; batching and
-    packing only amortize per-step overhead, and each run's wall_time is an
+    packing only amortize per-step overhead, and each run's secs is an
     even share of the integration's. Used by the benchmark harness.
     """
     seeds = list(seeds)

@@ -66,6 +66,10 @@ class TestRunBenchmark:
         assert s.best_H <= s.median_H <= s.worst_H
         assert len(s.records) == s.runs
         assert [r.seed for r in s.records] == list(range(20))
+        # records compare and hash by their scalars, as dicts and sets need
+        r = s.records[0]
+        assert dataclasses.replace(r, spins=r.spins.copy()) == r
+        assert len(set(s.records)) == s.runs
 
     def test_parallelism_does_not_change_records(self):
         p = random_ising(12, Complete(), seed=0)
@@ -245,6 +249,16 @@ class TestHistogram:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_rejected(self, values, reference):
         with pytest.raises(SpecificationError, match="finite"):
+            histogram(values, reference=reference)
+
+    @pytest.mark.parametrize("values, reference", [
+        ([1.0, 2.0], "a"), (["x", 1], None), (5, None), ([1.0, 2.0], "1.5"),
+        ([[1.0, 2.0], [3.0]], None), ([10**400], None), ([1.0], 10**400),
+        ([1.0, 2.0], np.array([1.0, 2.0])),
+    ], ids=["string_reference", "string_value", "not_iterable", "numeric_string_reference",
+            "ragged", "huge_int_value", "huge_int_reference", "array_reference"])
+    def test_non_numeric_rejected(self, values, reference):
+        with pytest.raises(SpecificationError, match="real numbers"):
             histogram(values, reference=reference)
 
     def test_random_energy_baseline_centered(self):

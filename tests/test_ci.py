@@ -6,6 +6,7 @@ from the demos, which smoke-test the public API.
 """
 
 import ast
+import importlib
 import re
 
 import pytest
@@ -90,6 +91,15 @@ def unused_imports(path):
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", sorted((REPO_ROOT / "src" / "oimsim").glob("*.py")),
+                         ids=lambda p: f"oimsim/{p.name}")
+def test_every_exported_name_exists(path):
+    # a stale __all__ entry fails here, not in a user's `import *`
+    name = "oimsim" if path.stem == "__init__" else f"oimsim.{path.stem}"
+    module = importlib.import_module(name)
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
 
 
 def test_unused_import_finder(tmp_path):

@@ -72,13 +72,13 @@ def test_simulate_golden():
     rows = []
     for seed in range(4):
         r = simulate(p, prm, seed=seed)
-        rows.append((r.seed, r.final_spins, r.final_H))
+        rows.append((r.seed, r.spins, r.H))
     assert digest(rows) == GOLDEN["simulate"]
 
 
 def test_run_seeds_golden():
     p = random_ising(36, Torus(6, 6), seed=2)
-    rows = [(r.seed, r.final_spins, r.final_H)
+    rows = [(r.seed, r.spins, r.H)
             for r in run_seeds(p, PARAMS, list(range(10)))]
     assert digest(rows) == GOLDEN["run_seeds"]
 
@@ -86,7 +86,7 @@ def test_run_seeds_golden():
 def test_packed_run_seeds_golden():
     spec = mixed_spec("variability")
     group = [problem for _, problem, _ in spec.problems]
-    rows = [(r.seed, r.final_spins, r.final_H)
+    rows = [(r.seed, r.spins, r.H)
             for r in run_seeds(group, spec.params, spec.seeds())]
     assert digest(rows) == GOLDEN["mixed_run_seeds"]
 

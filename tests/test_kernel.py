@@ -173,10 +173,10 @@ def test_trace_same_on_both_paths(monkeypatch):
     runs = [dyn.simulate(group()[1], VARIANTS[0], seed=3, trace_points=7)]
     monkeypatch.setattr(dyn, "_load_kernel", lambda: None)
     runs.append(dyn.simulate(group()[1], VARIANTS[0], seed=3, trace_points=7))
-    (a, b) = (r.trajectory_energy for r in runs)
+    (a, b) = (r.trace for r in runs)
     assert len(a.times) == 7
     for x, y in ((a.times, b.times), (a.lyapunov, b.lyapunov), (a.rounded_H, b.rounded_H),
-                 (runs[0].final_spins, runs[1].final_spins)):
+                 (runs[0].spins, runs[1].spins)):
         assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
 

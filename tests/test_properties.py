@@ -121,9 +121,9 @@ def test_run_seeds_equals_simulate_per_seed(case, seeds, with_fields):
     assert [r.seed for r in batch] == seeds
     for r in batch:
         single = simulate(p, prm, seed=r.seed, total_weight=3.0)
-        assert np.array_equal(r.final_spins, single.final_spins)
-        assert r.final_H == single.final_H
-        assert r.final_cut == single.final_cut
+        assert np.array_equal(r.spins, single.spins)
+        assert r.H == single.H
+        assert r.cut == single.cut
 
 
 @FEW

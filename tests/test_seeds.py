@@ -41,7 +41,7 @@ class TestRejected:
 
 def test_numpy_integers_are_seeds():
     a, b = simulate(FERRO, SHORT, seed=3), simulate(FERRO, SHORT, seed=np.int64(3))
-    assert a.final_spins.tobytes() == b.final_spins.tobytes() and a.final_H == b.final_H
+    assert a.spins.tobytes() == b.spins.tobytes() and a.H == b.H
     assert random_ising(5, Complete(), seed=np.uint8(2)).couplings == \
         random_ising(5, Complete(), seed=2).couplings
     assert BenchmarkSpec(problems=(("x", FERRO),), runs=2, seed_base=np.int32(4)).seeds() == [4, 5]

@@ -54,8 +54,8 @@ def test_packed_equal_sizes_match_runs_alone(monkeypatch):
     assert len(packed) == len(alone) == 2 * 6 * 3
     for a, b in zip(packed, alone):
         assert a.seed == b.seed
-        assert a.final_spins.tobytes() == b.final_spins.tobytes()
-        assert np.float64(a.final_H).tobytes() == np.float64(b.final_H).tobytes()
+        assert a.spins.tobytes() == b.spins.tobytes()
+        assert np.float64(a.H).tobytes() == np.float64(b.H).tobytes()
     # the phases too, row by row
     Phi, _ = dyn._integrate_batch(group, VARIANTS, SEEDS)
     rows = np.cumsum([0] + [p.n for p in group])

@@ -77,7 +77,7 @@ class TestSharedCouplingKernel:
                          fields=[0.1, 0.0, -0.2, 0.0])
         prm = DynamicsParams(cycles=3.0, steps_per_cycle=40)
         res = simulate(p, prm, seed=2, trace_points=7)
-        assert res.trajectory_energy.rounded_H[-1] == res.final_H
+        assert res.trace.rounded_H[-1] == res.H
 
 
 class TestEdgeValidation:
