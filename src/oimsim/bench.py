@@ -13,7 +13,9 @@ threads of its own. Units and seeding depend only on the spec, and every
 packed, beside other variants or on any thread, so results are identical
 for any parallelism degree and rerunning a spec reproduces every per-run
 record. A record is the dynamics.RunResult that run_seeds returns, named
-for its spec's problem; summaries and exports read it, and keep no copy.
+for its spec's problem and priced here: its cut is (W - H) / 2 of the
+entry's total weight W, or None without one. Summaries and exports read
+it, and keep no copy.
 A run's secs is its unit's wall time split evenly among all the unit's
 runs, of every variant.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import json
 import statistics
+import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -30,12 +33,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__ as _version
-from .dynamics import (DynamicsParams, _as_variants, _share_cpus, _usable_cpus, _weights,
-                       run_seeds)
-from .errors import CapacityError, SpecificationError, _integer
+from .dynamics import DynamicsParams, _as_variants, _share_cpus, _usable_cpus, run_seeds
+from .errors import CapacityError, SpecificationError, _integer, _number
 from .io import BestKnownCatalog
 from .oracles import BRUTE_FORCE_MAX_N, brute_force
-from .problems import IsingProblem
+from .problems import IsingProblem, cut_from_hamiltonian
 
 __all__ = [
     "BenchmarkSpec", "ProblemStats", "RunSummary",
@@ -55,10 +57,10 @@ class BenchmarkSpec:
     """What to run: problems, dynamics parameters, seeds, reference.
 
     problems entries are (name, IsingProblem) or (name, IsingProblem,
-    total_weight); a total_weight, None or a finite real number, enables
-    cut reporting. oracle is None, "brute" (exact minimum; every problem
-    needs n <= BRUTE_FORCE_MAX_N, else CapacityError), or a BestKnownCatalog
-    keyed by problem name.
+    total_weight); a total_weight W, None or a finite real number, gives
+    each run the cut (W - H) / 2. oracle is None, "brute" (exact minimum;
+    every problem needs n <= BRUTE_FORCE_MAX_N, else CapacityError), or a
+    BestKnownCatalog keyed by problem name.
     """
 
     problems: tuple
@@ -77,12 +79,15 @@ class BenchmarkSpec:
             if not (isinstance(entry, (tuple, list)) and len(entry) in (2, 3)):
                 raise SpecificationError(
                     "each problem entry is (name, IsingProblem[, total_weight])")
-            name, problem, *tw = entry
+            name, problem, tw = (*entry, None)[:3]
             if not isinstance(problem, IsingProblem):
                 raise SpecificationError(f"problem {name!r} is not an IsingProblem")
+            if not (tw is None or _number(tw) and abs(tw) <= sys.float_info.max):
+                raise SpecificationError(
+                    f"problem {name!r}: total_weight must be None or a finite real number")
             if str(name) in norm:
                 raise SpecificationError(f"problem name {str(name)!r} appears more than once")
-            norm[str(name)] = (str(name), problem, *_weights(tw or None, 1))
+            norm[str(name)] = (str(name), problem, tw)
         object.__setattr__(self, "problems", tuple(norm.values()))
         brute = isinstance(self.oracle, str) and self.oracle == "brute"
         if not (brute or self.oracle is None or isinstance(self.oracle, BestKnownCatalog)):
@@ -182,11 +187,19 @@ def _success_count(spec, name, problem, records):
             return None
         return sum(1 for r in records if r.cut is not None and r.cut >= ref)
     min_H = brute_force(problem).min_H  # oracle "brute": BenchmarkSpec checked the size
-    return sum(1 for r in records if r.H <= min_H + 1e-9)
+    # H sums m + n terms: allow each its rounding of the largest sum they reach
+    _, _, jv = problem.edge_arrays
+    tol = ((len(jv) + problem.n) * np.finfo(np.float64).eps
+           * (np.abs(jv).sum() + np.abs(problem.h).sum()))
+    return sum(1 for r in records if r.H <= min_H + tol)
 
 
-def _aggregate(spec, name, problem, results):
-    records = tuple(replace(r, problem=name) for r in results)
+def _aggregate(spec, entry, results):
+    """The ProblemStats of one spec entry: its runs, named and priced."""
+    name, problem, tw = entry
+    records = tuple(replace(r, problem=name,
+                            cut=None if tw is None else cut_from_hamiltonian(r.H, tw))
+                    for r in results)
     return ProblemStats(
         name=name,
         success=_success_count(spec, name, problem, records),
@@ -225,8 +238,7 @@ def run_benchmark(spec, parallelism=1):
 
     def run_unit(unit):
         group, chunk = unit
-        return run_seeds(tuple(base.problems[k][1] for k in group), variants, chunk,
-                         total_weight=tuple(base.problems[k][2] for k in group))
+        return run_seeds(tuple(base.problems[k][1] for k in group), variants, chunk)
 
     workers = max(1, min(parallelism, len(units)))
     with ThreadPoolExecutor(workers, initializer=_share_cpus,
@@ -242,8 +254,7 @@ def run_benchmark(spec, parallelism=1):
             for j, k in enumerate(group):
                 start = (v * len(group) + j) * B
                 results[v][k].extend(out[start:start + B])
-    stats = [[_aggregate(s, name, problem, res)
-              for (name, problem, _), res in zip(s.problems, results[v])]
+    stats = [[_aggregate(s, entry, res) for entry, res in zip(s.problems, results[v])]
              for v, s in enumerate(specs)]
     wall = time.perf_counter() - t0
     summaries = [RunSummary(problems=tuple(st), runs=s.runs,
@@ -327,16 +338,6 @@ def _fmt(x):
     return repr(x) if isinstance(x, float) else str(x)
 
 
-def summary_metadata(summary):
-    return {
-        "oimsim_version": _version,
-        "params": summary.params_config,
-        "runs": summary.runs,
-        "seed_base": summary.seed_base,
-        "seeds": [summary.seed_base + k for k in range(summary.runs)],
-    }
-
-
 def _summary_csv(summary):
     lines = [SUMMARY_CSV_HEADER]
     for s in summary.problems:
@@ -347,11 +348,15 @@ def _summary_csv(summary):
 
 
 def _summary_json(summary, extra_meta=None):
-    meta = summary_metadata(summary)
-    if extra_meta:
-        meta.update(extra_meta)
     obj = {
-        "meta": meta,
+        "meta": {
+            "oimsim_version": _version,
+            "params": summary.params_config,
+            "runs": summary.runs,
+            "seed_base": summary.seed_base,
+            "seeds": [summary.seed_base + k for k in range(summary.runs)],
+            **(extra_meta or {}),
+        },
         "problems": [{
             "name": s.name,
             "runs": s.runs,
@@ -409,23 +414,17 @@ def export(obj, format="json", extra_meta=None):
 
 def export_paths(path, format):
     """The files write_export writes for a RunSummary: the export at path
-    and, for CSV, its JSON metadata sidecar at <path>.meta.json."""
+    and, for CSV, the JSON export as a sidecar at <path>.meta.json."""
     return [path] + ([f"{path}.meta.json"] if format == "csv" else [])
 
 
 def write_export(obj, format, path, extra_meta=None):
-    """Write an export; a RunSummary's CSV gets a JSON metadata sidecar
-    (see export_paths)."""
+    """Write an export; a RunSummary's CSV gets the JSON export, with its
+    meta and per-run records, as a sidecar (see export_paths)."""
     text = export(obj, format, extra_meta)
     with open(path, "w") as fh:
         fh.write(text)
     if format == "csv" and isinstance(obj, RunSummary):
-        meta = dict(summary_metadata(obj))
-        if extra_meta:
-            meta.update(extra_meta)
-        meta["per_run"] = [{"problem": r.problem, "seed": r.seed, "H": r.H,
-                            "cut": r.cut}
-                           for s in obj.problems for r in s.records]
         _, sidecar = export_paths(path, format)
         with open(sidecar, "w") as fh:
-            fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+            fh.write(export(obj, "json", extra_meta))

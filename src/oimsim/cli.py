@@ -25,7 +25,7 @@ from .generators import Complete, Torus, random_ising
 from .io import (default_catalog, load_catalog, load_gset, load_ising_json, write_gset,
                  write_ising_json)
 from .oracles import SaParams, brute_force, simulated_annealing
-from .problems import WeightedGraph, maxcut_to_ising
+from .problems import WeightedGraph, cut_from_hamiltonian, maxcut_to_ising
 
 TRACE_MAX_POINTS = 10_000
 
@@ -166,8 +166,7 @@ def _cmd_solve(args):
     params = _run(args, [(name, problem, total_weight)],
                   {"input": os.path.basename(str(args.input))})
     if args.trace is not None:
-        run = simulate(problem, params, seed=args.seed, total_weight=total_weight,
-                       trace_points=TRACE_MAX_POINTS)
+        run = simulate(problem, params, seed=args.seed, trace_points=TRACE_MAX_POINTS)
         tr = run.trace
         lines = ["time,lyapunov,rounded_H"]
         lines += [f"{t!r},{e!r},{h!r}" for t, e, h in
@@ -205,7 +204,7 @@ def _cmd_oracle(args):
                "num_minimizers": len(res.minimizers), "truncated": res.truncated,
                "minimizers": [[int(v) for v in s] for s in res.minimizers[:4]]}
         if total_weight is not None:
-            obj["max_cut"] = (total_weight - res.min_H) / 2
+            obj["max_cut"] = cut_from_hamiltonian(res.min_H, total_weight)
     else:
         sa = SaParams(iterations=args.iters, T_initial=args.t0, T_final=args.t1,
                       moves_per_temp=args.moves_per_temp, seed=args.seed)
@@ -213,7 +212,7 @@ def _cmd_oracle(args):
         obj = {"solver": "sa", "problem": name, "best_H": best_H,
                "spins": [int(v) for v in spins]}
         if total_weight is not None:
-            obj["cut"] = (total_weight - best_H) / 2
+            obj["cut"] = cut_from_hamiltonian(best_H, total_weight)
     _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 

@@ -59,7 +59,6 @@ import ctypes
 import hashlib
 import json
 import math
-import numbers
 import os
 import subprocess
 import sys
@@ -77,8 +76,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (DimensionError, NumericalDivergenceError, SpecificationError, _finite,
-                     _integer)
-from .problems import IsingProblem, hamiltonian, cut_from_hamiltonian
+                     _integer, _number)
+from .problems import IsingProblem, hamiltonian
 
 __all__ = [
     "DEFAULTS",
@@ -141,7 +140,8 @@ class KsSchedule:
 
     def __post_init__(self):
         _finite(self.level, "Ks level")
-        if not (0 <= self.t0 <= self.t1 <= sys.float_info.max):
+        if not (_number(self.t0) and _number(self.t1)
+                and 0 <= self.t0 <= self.t1 <= sys.float_info.max):
             raise SpecificationError("ramp needs finite 0 <= t0 <= t1")
         for name in ("level", "t0", "t1"):
             object.__setattr__(self, name, float(getattr(self, name)))
@@ -198,7 +198,7 @@ class DynamicsParams:
         _finite(self.variability_pct, "variability_pct")
         _finite(self.cycles, "cycles", strict=True)
         spc = self.steps_per_cycle
-        if not (isinstance(spc, numbers.Real) and 1 <= spc < math.inf and int(spc) == spc):
+        if not (_number(spc) and 1 <= spc < math.inf and int(spc) == spc):
             raise SpecificationError("steps_per_cycle must be a positive integer")
         if spc >= 2**63 or self.cycles * spc >= 2**63:  # step counts are int64
             raise SpecificationError("cycles * steps_per_cycle must be below 2**63")
@@ -270,10 +270,11 @@ class EnergyTrace:
 
 @dataclass(frozen=True)
 class RunResult:
-    """One run: its problem's name, seed, final spins, their H and cut (None
-    without a total weight), its share of the integration's wall time in
-    secs, and its energy trace, when one was asked for. Runs compare and
-    hash by the scalar fields; the arrays take no part."""
+    """One run: its problem's name, seed, final spins, their H, its share of
+    the integration's wall time in secs, and its energy trace, when one was
+    asked for. cut is None as integrated; the benchmark harness, which
+    knows each problem's total weight, sets it. Runs compare and hash by
+    the scalar fields; the arrays take no part."""
 
     problem: str | None
     seed: int
@@ -496,19 +497,6 @@ def _as_group(problem):
     return group
 
 
-def _weights(total_weight, count):
-    """total_weight as a tuple of count cut weights, each None or a finite
-    real number; None gives count Nones. Else SpecificationError."""
-    weights = (None,) * count if total_weight is None else (
-        tuple(total_weight) if np.iterable(total_weight) else ())
-    if not (len(weights) == count and all(
-            w is None or isinstance(w, numbers.Real) and abs(w) <= sys.float_info.max
-            for w in weights)):
-        raise SpecificationError(f"total_weight must give each of {count} problem(s) None "
-                                 "or a finite real number")
-    return weights
-
-
 # what the variants of one batch must share: they differ only in the Ks
 # schedule and frequency variability
 _SHARED = ("K", "noise_amp", "cycles", "steps_per_cycle")
@@ -654,10 +642,10 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     return Phi, tuple(np.array(x) for x in zip(*samples)) if trace_points else None
 
 
-def _runs(problem, params, seeds, total_weight, trace_points=0):
+def _runs(problem, params, seeds, trace_points=0):
     """Integrate a batch and build one RunResult per (variant, problem, seed).
 
-    Rounds the final phases, scores H and the cut, splits the integration's
+    Rounds the final phases, scores H, splits the integration's
     wall time evenly over the runs and attaches the energy trace, when
     there is one (a trace covers a single run).
     """
@@ -665,8 +653,6 @@ def _runs(problem, params, seeds, total_weight, trace_points=0):
     variants = _as_variants(params)
     for seed in seeds:
         _integer(seed, "seed", 0)
-    weights = _weights((total_weight,) if isinstance(problem, IsingProblem) else total_weight,
-                       len(group))
     B = len(seeds)
     t0 = time.perf_counter()
     Phi, trace = _integrate_batch(group, variants, seeds, trace_points=trace_points)
@@ -676,29 +662,28 @@ def _runs(problem, params, seeds, total_weight, trace_points=0):
     out = []
     for v in range(len(variants)):
         row = 0
-        for p, tw in zip(group, weights):
+        for p in group:
             for b, seed in enumerate(seeds):
                 spins = spins_mat[row:row + p.n, v * B + b]
-                H = hamiltonian(p, spins)
-                cut = cut_from_hamiltonian(H, tw) if tw is not None else None
-                out.append(RunResult(p.name, seed, spins, H, cut, wall, energy_trace))
+                out.append(RunResult(p.name, seed, spins, hamiltonian(p, spins), None, wall,
+                                     energy_trace))
             row += p.n
     return out
 
 
-def simulate(problem, params=None, seed=0, *, total_weight=None, trace_points=0):
+def simulate(problem, params=None, seed=0, *, trace_points=0):
     """Run one IsingProblem under one DynamicsParams and threshold the final
     phases to spins; run_seeds runs several seeds, problems or variants.
 
     Phases start i.i.d. uniform on [0, 2*pi) from the seed's init stream,
     detuning and noise come from the seed's other substreams, and the state
     advances until time reaches params.cycles. Deterministic given
-    (problem, params, seed).
+    (problem, params, seed). The run's cut is None; a MAX-CUT value is
+    cut_from_hamiltonian(run.H, total_weight).
 
-    total_weight, when given, also reports the MAX-CUT value of the final
-    spins. trace_points, an integer >= 0, asks for an energy trace of
-    (time, Lyapunov, rounded H) samples: at most trace_points of them, the
-    last at the final step. With 2 or more points they are taken every s =
+    trace_points, an integer >= 0, asks for an energy trace of (time,
+    Lyapunov, rounded H) samples: at most trace_points of them, the last at
+    the final step. With 2 or more points they are taken every s =
     ceil(total_steps / (trace_points - 1)) steps from t = 0, at the ends of
     noise blocks cut to that length, plus the final step when s does not
     divide total_steps; with 1 point, only the final step.
@@ -708,18 +693,17 @@ def simulate(problem, params=None, seed=0, *, total_weight=None, trace_points=0)
     if not (isinstance(problem, IsingProblem) and isinstance(params, DynamicsParams)):
         raise SpecificationError("simulate runs one IsingProblem under one DynamicsParams; "
                                  "run_seeds takes groups and variants")
-    return _runs(problem, params, [seed], total_weight, trace_points=trace_points)[0]
+    return _runs(problem, params, [seed], trace_points=trace_points)[0]
 
 
-def run_seeds(problem, params, seeds, *, total_weight=None):
+def run_seeds(problem, params, seeds):
     """Simulate seeds (any iterable) batched as one vectorized integration.
 
     `problem` is one IsingProblem or a group (sequence) of them, packed
-    into one block-diagonal integration; for a group, total_weight is None
-    or one weight (None or a finite real number) per problem. `params` is
-    one DynamicsParams or a tuple of variants that agree on K, noise_amp,
-    cycles and steps_per_cycle; they share one integration and each seed's
-    draws. Returns one RunResult per (variant, problem, seed):
+    into one block-diagonal integration. `params` is one DynamicsParams or
+    a tuple of variants that agree on K, noise_amp, cycles and
+    steps_per_cycle; they share one integration and each seed's draws.
+    Returns one RunResult per (variant, problem, seed):
     variant-major, then problem-major, then by seed. Results are identical
     to calling simulate() per variant, problem and seed; batching and
     packing only amortize per-step overhead, and each run's secs is an
@@ -728,4 +712,4 @@ def run_seeds(problem, params, seeds, *, total_weight=None):
     seeds = list(seeds)
     if not seeds:
         return []
-    return _runs(problem, params, seeds, total_weight)
+    return _runs(problem, params, seeds)

@@ -56,16 +56,23 @@ class NumericalDivergenceError(OimError):
         self.problem = problem
 
 
+def _number(value, kind=numbers.Real):
+    """Whether value is a `kind` number (Python or numpy); True and False,
+    though Python ints, are not numbers here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _integer(value, name, least):
     """value if it is an integer (Python or numpy) >= least; else SpecificationError."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    if not _number(value, numbers.Integral) or value < least:
         raise SpecificationError(f"{name} must be an integer >= {least}")
     return value
 
 
 def _finite(value, name, least=0, strict=False):
-    """value if it is finite and >= least (> least when strict), never an integer
-    beyond the float range; else SpecificationError."""
-    if not (least < value if strict else least <= value) or not value <= sys.float_info.max:
+    """value if it is a real number, finite and >= least (> least when strict),
+    never an integer beyond the float range; else SpecificationError."""
+    if not (_number(value) and (least < value if strict else least <= value)
+            and value <= sys.float_info.max):
         raise SpecificationError(f"{name} must be finite and {'>' if strict else '>='} {least}")
     return value

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, SpecificationError
+from .errors import ParseError, SpecificationError, _number
 from .problems import _MAX_N, IsingProblem, WeightedGraph, _RowError
 
 __all__ = [
@@ -149,7 +149,7 @@ def read_ising_json(text):
     if h is not None:
         if not isinstance(h, list) or len(h) != n:
             fail("$.h", f"h must be a list of {n} numbers")
-        if any(isinstance(x, (str, bool)) or not isinstance(x, (int, float)) for x in h):
+        if not all(map(_number, h)):
             fail("$.h", "h entries must be numbers")
     name = obj.get("name")
     if name is not None and not isinstance(name, str):

@@ -12,9 +12,11 @@ import pytest
 import oimsim.bench as bench
 from oimsim import (BenchmarkSpec, CapacityError, Complete, DynamicsParams, IsingProblem,
                     KsSchedule, SpecificationError, WeightedGraph,
-                    ablation_compare, default_catalog, export, hamiltonian,
-                    histogram, load_ising_json, maxcut_to_ising, random_ising,
-                    random_spins, run_benchmark, write_export)
+                    ablation_compare, brute_force, cut_from_hamiltonian, cut_value,
+                    default_catalog, export, hamiltonian, histogram, load_ising_json,
+                    maxcut_to_ising, random_ising, random_spins, run_benchmark,
+                    write_export)
+from oimsim.dynamics import RunResult
 
 
 FERRO2 = IsingProblem(2, [(0, 1, 1.0)])
@@ -90,6 +92,68 @@ class TestRunBenchmark:
         assert [(r.seed, r.H) for r in a.stats("q").records] == \
                [(r.seed, r.H) for r in b.stats("q").records]
 
+    def test_brute_success_needs_the_optimum_at_tiny_couplings(self):
+        # H of J = +-1e-12 couplings spans less than 1e-9: an absolute
+        # tolerance counted every one of these runs as optimal
+        p = random_ising(10, Complete(), seed=0)
+        tiny = IsingProblem(10, [(i, j, 1e-12 * v) for i, j, v in p.couplings])
+        spec = BenchmarkSpec(problems=(("tiny", tiny),), runs=20, oracle="brute",
+                             params=DynamicsParams(cycles=1.0, noise_amp=5.0))
+        stats = run_benchmark(spec).stats("tiny")
+        minimizers = brute_force(tiny).minimizers
+        optimal = sum(any(np.array_equal(r.spins, m) for m in minimizers)
+                      for r in stats.records)
+        assert len({r.H for r in stats.records}) > 2
+        assert stats.success == optimal < 20
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_brute_success_counts_every_float_minimizer(self, scale):
+        # hamiltonian and brute_force sum in different orders, so a
+        # minimizer's H may differ from min_H in its last bits
+        for k in range(10):
+            rng = np.random.default_rng(k)
+            p = IsingProblem(10, [(i, j, scale * rng.normal()) for i in range(10)
+                                  for j in range(i + 1, 10)],
+                             fields=scale * rng.normal(size=10) if k % 2 else None)
+            spec = BenchmarkSpec(problems=(("p", p),), runs=1, oracle="brute")
+            best = brute_force(p).minimizers
+            near = best[0].copy()
+            near[0] = -near[0]
+            runs = [RunResult("p", 0, s, hamiltonian(p, s), None, 0.0) for s in best]
+            assert bench._success_count(spec, "p", p, runs) == len(best)
+            assert bench._success_count(
+                spec, "p", p, [RunResult("p", 0, near, hamiltonian(p, near), None, 0.0)]) == 0
+
+    def test_total_weight_reports_cut(self):
+        g = WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
+        spec = BenchmarkSpec(problems=(("c4", maxcut_to_ising(g), g.total_weight),),
+                             params=quick_params(50.0), runs=3, seed_base=1)
+        for r in run_benchmark(spec).stats("c4").records:
+            assert r.cut == cut_value(g, r.spins)
+
+    def test_total_weight_accepts_finite_reals(self):
+        weights = (3, 2.5, np.float64(3), np.int64(-4), 2 ** 60, None)
+        spec = BenchmarkSpec(problems=tuple((f"p{k}", FERRO2, w) for k, w in enumerate(weights)),
+                             params=quick_params(1.0), runs=1)
+        summary = run_benchmark(spec)
+        for k, w in enumerate(weights):
+            (r,) = summary.stats(f"p{k}").records
+            assert r.cut == (None if w is None else (w - r.H) / 2)
+
+    def test_cuts_priced_per_entry_across_packed_variants(self):
+        problems = (("a", random_ising(6, Complete(), seed=1)),
+                    ("b", random_ising(9, Complete(), seed=2), 7),
+                    ("c", random_ising(5, Complete(), seed=3)))
+        summaries = run_benchmark(variant_specs(problems, runs=3)[:2])
+        weights = {"a": None, "b": 7, "c": None}
+        for summary in summaries:
+            for s in summary.problems:
+                for r in s.records:
+                    W = weights[s.name]
+                    assert r.cut == (None if W is None else cut_from_hamiltonian(r.H, W))
+            assert summary.stats("b").best_cut == cut_from_hamiltonian(
+                summary.stats("b").best_H, 7)
+
     def test_catalog_oracle(self):
         g = WeightedGraph(2, [(0, 1, 1)], name="tiny")
         cat_text = "name,best_cut,source\ntiny,1,exact\n"
@@ -115,14 +179,15 @@ class TestRunBenchmark:
         with pytest.raises(SpecificationError):
             BenchmarkSpec(problems=(("x", p),), runs=0)
 
-    @pytest.mark.parametrize("parallelism", [0, 1.5, None, "2"])
+    @pytest.mark.parametrize("parallelism", [0, 1.5, None, "2", True])
     def test_parallelism_must_be_a_positive_integer(self, parallelism):
         spec = BenchmarkSpec(problems=(("x", IsingProblem(2, [(0, 1, 1.0)])),),
                              params=quick_params(), runs=20)  # two units
         with pytest.raises(SpecificationError, match="parallelism"):
             run_benchmark(spec, parallelism=parallelism)
 
-    @pytest.mark.parametrize("bad", [{"params": None}, {"runs": 2.5}, {"runs": "3"}])
+    @pytest.mark.parametrize("bad", [{"params": None}, {"runs": 2.5}, {"runs": "3"},
+                                     {"runs": True}, {"seed_base": False}])
     def test_spec_types_rejected(self, bad):
         p = IsingProblem(2, [(0, 1, 1.0)])
         with pytest.raises(SpecificationError):
@@ -130,9 +195,11 @@ class TestRunBenchmark:
 
     @pytest.mark.parametrize("entry", [
         ("x",), ("x", FERRO2, 1, 2), ("x", FERRO2, "abc"), ("x", FERRO2, float("nan")),
-        ("x", FERRO2, float("inf")), ("x", FERRO2, (3,)), FERRO2,
+        ("x", FERRO2, float("inf")), ("x", FERRO2, (3,)), FERRO2, ("x", FERRO2, (3, 4)),
+        ("x", FERRO2, 10**400), ("x", FERRO2, -10**400), ("x", FERRO2, True),
     ], ids=["one_item", "four_items", "text_weight", "nan_weight", "inf_weight",
-            "tuple_weight", "bare_problem"])
+            "tuple_weight", "bare_problem", "pair_weight", "beyond_float_weight",
+            "beyond_minus_float_weight", "bool_weight"])
     def test_problem_entries_checked_when_built(self, entry):
         with pytest.raises(SpecificationError):
             BenchmarkSpec(problems=(entry,), params=quick_params(), runs=1)
@@ -236,7 +303,7 @@ class TestHistogram:
         with pytest.raises(SpecificationError):
             histogram([])
 
-    @pytest.mark.parametrize("bins", [0, 2.5, None, "3"])
+    @pytest.mark.parametrize("bins", [0, 2.5, None, "3", True])
     def test_bins_must_be_a_positive_integer(self, bins):
         with pytest.raises(SpecificationError, match="bins"):
             histogram([1.0, 2.0], bins=bins)
@@ -360,13 +427,18 @@ class TestExport:
         assert [int(v) for v in rerun.best_spins] == recorded["best_spins"]
 
     def test_write_with_sidecar(self, ferro_summary, tmp_path):
+        # the CSV's sidecar is the JSON export, byte for byte
         out = tmp_path / "summary.csv"
-        write_export(ferro_summary, "csv", out)
-        assert out.exists()
-        meta = json.loads((tmp_path / "summary.csv.meta.json").read_text())
-        assert meta["seed_base"] == 0
-        assert len(meta["per_run"]) == 20
-        assert meta["params"]["steps_per_cycle"] == 100
+        extra = {"command": "bench", "suite": "s"}
+        write_export(ferro_summary, "csv", out, extra_meta=extra)
+        assert out.read_text() == export(ferro_summary, "csv")
+        sidecar = (tmp_path / "summary.csv.meta.json").read_text()
+        assert sidecar == export(ferro_summary, "json", extra)
+        obj = json.loads(sidecar)
+        assert obj["meta"]["seed_base"] == 0
+        assert obj["meta"]["suite"] == "s"
+        assert len(obj["problems"][0]["per_run"]) == 20
+        assert obj["meta"]["params"]["steps_per_cycle"] == 100
 
     def test_bad_format(self, ferro_summary):
         with pytest.raises(SpecificationError):

@@ -54,7 +54,8 @@ class TestKsSchedule:
 
     @pytest.mark.parametrize("t0, t1", [(-1.0, 2.0), (3.0, 2.0), (math.nan, 2.0),
                                         (0.0, math.inf), (math.inf, math.inf),
-                                        pytest.param(0, 10**400, id="beyond_float")])
+                                        pytest.param(0, 10**400, id="beyond_float"),
+                                        pytest.param(False, True, id="booleans")])
     def test_ramp_times_are_checked(self, t0, t1):
         from oimsim import SpecificationError
         with pytest.raises(SpecificationError, match="ramp"):
@@ -110,6 +111,20 @@ class TestParamsChecks:
         (lambda: DynamicsParams(steps_per_cycle=math.inf), "steps_per_cycle"),
     ], ids=["K", "cycles", "variability_pct", "ks_level", "steps_nan", "steps_inf"])
     def test_numbers_beyond_the_float_range_are_rejected(self, make, message):
+        from oimsim import SpecificationError
+        with pytest.raises(SpecificationError, match=message):
+            make()
+
+    # True and False are Python ints, yet no count, seed or gain
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DynamicsParams(steps_per_cycle=True), "steps_per_cycle"),
+        (lambda: DynamicsParams(K=True), "K must be finite"),
+        (lambda: DynamicsParams(cycles=True), "cycles must be finite"),
+        (lambda: simulate(random_problem(3, 0), params_with(cycles=1.0), seed=True), "seed"),
+        (lambda: simulate(random_problem(3, 0), params_with(cycles=1.0), trace_points=True),
+         "trace_points"),
+    ], ids=["steps_per_cycle", "K", "cycles", "seed", "trace_points"])
+    def test_booleans_are_not_numbers(self, make, message):
         from oimsim import SpecificationError
         with pytest.raises(SpecificationError, match=message):
             make()
@@ -349,14 +364,6 @@ class TestSimulate:
         assert np.all(np.isfinite(tr.lyapunov))
         assert tr.rounded_H[-1] == res.H
 
-    def test_total_weight_reports_cut(self):
-        from oimsim import WeightedGraph, cut_value, maxcut_to_ising
-        g = WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
-        p = maxcut_to_ising(g)
-        res = simulate(p, params_with(cycles=50.0), seed=1,
-                       total_weight=g.total_weight)
-        assert res.cut == cut_value(g, res.spins)
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self):
         p = IsingProblem(3, [(0, 1, 1e308), (0, 2, 1e308)])
@@ -439,7 +446,7 @@ class TestPackedGroups:
     def test_group_returns_problem_major_results(self):
         group = [random_problem(4, 1), random_problem(7, 2, with_fields=True)]
         prm = params_with(cycles=3.0)
-        packed = run_seeds(group, prm, [8, 9], total_weight=(None, 3))
+        packed = run_seeds(group, prm, [8, 9])
         assert [(len(r.spins), r.seed) for r in packed] == \
             [(4, 8), (4, 9), (7, 8), (7, 9)]
         for problem, rs in ((group[0], packed[:2]), (group[1], packed[2:])):
@@ -447,8 +454,7 @@ class TestPackedGroups:
                 single = simulate(problem, prm, seed=r.seed)
                 assert np.array_equal(r.spins, single.spins)
                 assert r.H == single.H
-        assert packed[0].cut is None
-        assert packed[2].cut == (3 - packed[2].H) / 2
+        assert all(r.cut is None for r in packed)  # the harness prices cuts
 
     def test_empty_group_rejected(self):
         from oimsim import SpecificationError
@@ -477,28 +483,19 @@ class TestPackedGroups:
         assert all(np.array_equal(a.spins, b.spins) for a, b in zip(got, ref))
         assert run_seeds(p, prm, iter(())) == []
 
-    @pytest.mark.parametrize("problems, total_weight", [
-        (1, (3, 4)), (1, (3,)), (1, "3"), (1, math.nan), (1, math.inf), (1, 10 ** 400),
-        (2, (3,)), (2, (3, 4, 5)), (2, 3), (2, (3, "4")), (2, (None, math.nan)),
-    ], ids=["pair", "one_tuple", "text", "nan", "inf", "beyond_float", "group_short",
-            "group_long", "group_scalar", "group_text", "group_nan"])
-    def test_bad_total_weight_rejected_before_integrating(self, monkeypatch, problems,
-                                                          total_weight):
+    # run_seeds takes no weights: the harness's entries carry them, and one bad
+    # weight among problems that would share a packed group stops the whole spec
+    @pytest.mark.parametrize("total_weight", [(3,), "3", math.nan, math.inf],
+                             ids=["one_tuple", "text", "nan", "inf"])
+    def test_bad_total_weight_rejected_before_integrating(self, monkeypatch, total_weight):
         import oimsim.dynamics as dyn
-        from oimsim import SpecificationError
+        from oimsim import BenchmarkSpec, SpecificationError, run_benchmark
         monkeypatch.setattr(dyn, "_integrate_batch", None)  # reaching it fails otherwise
         p = random_problem(4, 1)
         with pytest.raises(SpecificationError, match="total_weight"):
-            run_seeds(p if problems == 1 else [p] * problems, params_with(cycles=1.0), [1],
-                      total_weight=total_weight)
-
-    def test_total_weight_accepts_finite_reals(self):
-        group = [random_problem(4, 1), random_problem(4, 2)]
-        prm = params_with(cycles=1.0)
-        for tw in ([np.int64(3), 2.5], np.array([3.0, 2.5]), (None, 2 ** 60)):
-            cuts = [r.cut for r in run_seeds(group, prm, [1], total_weight=tw)]
-            assert [c is None for c in cuts] == [w is None for w in tw]
-        assert run_seeds(group[0], prm, [1], total_weight=np.float64(3))[0].cut is not None
+            run_benchmark(BenchmarkSpec(problems=(("a", p, 3), ("b", p, None),
+                                                  ("c", p, total_weight)),
+                                        params=params_with(cycles=1.0), runs=2))
 
     def test_trace_needs_one_problem(self):
         # a trace covers one run: two problems, several seeds or several
@@ -665,14 +662,13 @@ class TestVariantBatches:
                  random_problem(5, 3)]
         seeds = [11, 12, 13]
         variants = self.variants()
-        fused = run_seeds(group, variants, seeds, total_weight=(None, 7, None))
-        expected = [r for prm in variants
-                    for r in run_seeds(group, prm, seeds, total_weight=(None, 7, None))]
+        fused = run_seeds(group, variants, seeds)
+        expected = [r for prm in variants for r in run_seeds(group, prm, seeds)]
         assert len(fused) == len(variants) * len(group) * len(seeds)
         for a, b in zip(fused, expected, strict=True):
             assert a.seed == b.seed
             assert np.array_equal(a.spins, b.spins)
-            assert (a.H, a.cut) == (b.H, b.cut)
+            assert a.H == b.H
 
     def test_phase_blocks_are_bit_identical(self):
         from oimsim.dynamics import _integrate_batch

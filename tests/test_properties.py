@@ -117,13 +117,12 @@ def test_run_seeds_equals_simulate_per_seed(case, seeds, with_fields):
     p = IsingProblem(n, edges, fields=fields)
     prm = DynamicsParams(cycles=2.0, steps_per_cycle=20, noise_amp=0.2,
                          variability_pct=0.02, ks_schedule=KsSchedule.ramp(0.0, 1.0, 1.0))
-    batch = run_seeds(p, prm, seeds, total_weight=3.0)
+    batch = run_seeds(p, prm, seeds)
     assert [r.seed for r in batch] == seeds
     for r in batch:
-        single = simulate(p, prm, seed=r.seed, total_weight=3.0)
+        single = simulate(p, prm, seed=r.seed)
         assert np.array_equal(r.spins, single.spins)
         assert r.H == single.H
-        assert r.cut == single.cut
 
 
 @FEW
