@@ -31,20 +31,23 @@ arithmetic is identical; the sin(2 phi) term is computed as
 2 sin(phi) cos(phi) everywhere. One numpy step, _steps, serves step(),
 the batch integrator and the kernel's self-check; it adds every term, as
 zeros where a term is off, which the wrap makes exact. The batch
-integrator runs each noise block through one call of _step.c, which does
+integrator runs each block of steps through one call of _step.c, which does
 _steps's float operations in its order. Its workspace has one row
 [cos phi_j | sin phi_j] per oscillator, so each coupling is one
 contiguous read that feeds both sums. It fills the rows calling libm's
 sincos in the order of the phases' bins of [0, 2*pi), as sincos branches
 on range and quadrant; the order of calls changes no bit.
-Each block's draws go, seed by seed, into one reused seed-major buffer
-with one (steps, spins) region per distinct problem size, which each
-problem of that size reads on both paths; seed slices run side by side on
-threads (see _integrate_batch). The kernel is compiled once per machine
-(cc -O3 -ffp-contract=off) into $XDG_CACHE_HOME/oimsim or ~/.cache/oimsim
-(delete it to rebuild) and loaded with ctypes only if a self-check finds
-numpy's bits on a probe. Else the numpy loop integrates: silently without
-a compiler or writable cache, with a RuntimeWarning after a failed
+It draws each step's normals itself, from the PCG64 state of each seed's
+generator per distinct problem size, by numpy's ziggurat with numpy's
+tables (BSD licence, see _step.c): numpy's values. Only the numpy path
+draws a block at once, into one reused seed-major buffer with one (steps,
+spins) region per distinct size. Problems of a size read its draws on
+both paths; seed slices run side by side on threads (see _integrate_batch).
+The kernel is compiled once per machine (cc -O3 -ffp-contract=off) into
+$XDG_CACHE_HOME/oimsim or ~/.cache/oimsim (delete it to rebuild) and
+loaded with ctypes only if a self-check finds numpy's bits, steps and
+draws, on a probe. Else the numpy loop integrates: silently without a
+compiler or writable cache, with a RuntimeWarning after a failed
 self-check. drift(), lyapunov() and step() always use numpy. Randomness is
 split into independent substreams of the run seed,
 Generator(PCG64(SeedSequence((seed, stream)))), with stream 0 = initial
@@ -68,7 +71,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -101,8 +104,9 @@ _STREAM_INIT = 0
 _STREAM_DETUNE = 1
 _STREAM_NOISE = 2
 
-# noise is pregenerated in blocks for speed; numpy Generators produce the
-# same stream regardless of block shape, so this never changes results
+# blocks of at most 256 steps and this many draws (the numpy path's buffer): their
+# ends are where divergence is checked and a trace samples. A Generator's stream
+# is the same at any block length, so this never changes results
 _MAX_NOISE_DOUBLES = 262_144  # 2 MB
 _MIN_SLICE = 256  # phases (spins x columns) per thread, at least: fewer gain nothing
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")  # how _load_kernel builds _step.c
@@ -368,8 +372,8 @@ def _steps(Phi, adj, h_col, Kdt, dt_dw, noise, ks_cols):
     """One Euler-Maruyama step in place on a C-ordered (n, C) phase matrix
     for each step k of a noise block: _coupling's with ks_cols[k] (2*Ks*dt
     per column), plus dt_dw (dt * detuning), plus the noise (z, base, stride,
-    scale) as _step.c reads it: scale * z[b, base[i] + k * stride[i]] for
-    row i and seed b of each B-column variant block, z of shape (B, zs).
+    scale): scale * z[b, base[i] + k * stride[i]] for row i and seed b of
+    each B-column variant block, z of shape (B, zs).
     """
     z, base, stride, scale = noise
     blocks = Phi.reshape(len(Phi), -1, len(z))
@@ -388,6 +392,26 @@ def _noise_rows(sizes, L):
     start = dict(zip(distinct, L * np.cumsum([0] + distinct[:-1])))
     return (np.concatenate([start[m] + np.arange(m) for m in sizes]),
             np.repeat(sizes, sizes))
+
+
+def _bind_numpy(Phi, adj, h_col, Kdt, dt_dw, noise):
+    """advance(ks_cols) on the numpy path, as _load_kernel's kernel binds it: noise
+    is (gens, sizes, scale), gens[b] seed b's generator per distinct size (none
+    without noise); a block draws into one reused seed-major buffer, then _steps."""
+    gens, sizes, scale = noise
+    distinct = list(dict.fromkeys(sizes))
+    z = np.zeros((len(gens), 0))
+
+    def advance(ks_cols):
+        nonlocal z
+        L = len(ks_cols)
+        if z.shape[1] < L * sum(distinct):  # sized by the first, longest block
+            z = np.zeros((len(gens), L * sum(distinct)))
+        for row, seed_gens in zip(z, gens):  # never drawn into without noise
+            for off, m, gen in zip(L * np.cumsum([0] + distinct[:-1]), distinct, seed_gens):
+                gen.standard_normal(out=row[off:off + L * m])
+        _steps(Phi, adj, h_col, Kdt, dt_dw, (z, *_noise_rows(sizes, L), scale), ks_cols)
+    return advance
 
 
 def _usable_cpus():
@@ -424,45 +448,51 @@ def _load_kernel():
         fn = ctypes.CDLL(str(lib)).oim_steps
     except (OSError, subprocess.SubprocessError):  # also: no cc on PATH
         return None
-    fn.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 14
+    fn.argtypes = [ctypes.c_int64] * 5 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 15
     fn.restype = None
 
     def kernel(Phi, adj, h_col, Kdt, dt_dw, noise):
-        """advance(ks_cols): _steps on these arguments, cast once."""
+        """advance(ks_cols): _bind_numpy's, on these arguments cast once; the C
+        draws each step's normals from copies of the generators' PCG64 states."""
         n, C = Phi.shape
-        z, base, stride, scale = noise
-        B, zs = z.shape
+        gens, sizes, scale = noise
+        distinct = list(dict.fromkeys(sizes))
+        B = len(gens)
         cast = lambda a, shape, dtype=np.float64: np.ascontiguousarray(  # noqa: E731
             np.broadcast_to(a, shape), dtype=dtype)
+        st = np.array([[[v >> k & 2**64 - 1 for v in g.bit_generator.state["state"].values()
+                         for k in (0, 64)] for g in row] for row in gens], np.uint64)  # state, inc
         keep = [Phi, cast(adj.indptr, n + 1, np.int64), cast(adj.indices, adj.nnz, np.int64),
-                cast(adj.data, adj.nnz), cast(h_col, (n, 1)),
-                cast(dt_dw, (n, C)), z, cast(base, n, np.int64), cast(stride, n, np.int64),
-                np.empty((n + 1, 2 * C)), np.empty(n * C), np.empty(n * C, np.int64),
-                np.empty(n * C, np.uint8)]  # workspace, then the sincos order's scratch
-        if any(a.dtype != np.float64 or not a.flags.c_contiguous for a in (Phi, z)) or C % B:
-            raise ValueError("the step kernel needs C-ordered float64 phases and draws")
-        ptrs = [a.ctypes.data for a in keep]  # advance holds keep
+                cast(adj.data, adj.nnz), cast(h_col, (n, 1)), cast(dt_dw, (n, C)), st,
+                np.array(distinct, np.int64), cast(_noise_rows(sizes, 1)[0], n, np.int64),
+                np.zeros((B, sum(distinct))), np.empty((n + 1, 2 * C)), np.empty(n * C),
+                np.empty(n * C, np.int64), np.empty(n * C, np.uint8)]  # draws, workspace, sort
+        if (Phi.dtype != np.float64 or not Phi.flags.c_contiguous or C % B or sum(sizes) != n
+                or st.size and st.shape != (B, len(distinct), 4)):
+            raise ValueError("the step kernel needs C-ordered float64 phases, a row per spin")
+        ptrs = [a.ctypes.data if a.size else None for a in keep]
 
-        def advance(ks_cols):
+        def advance(ks_cols, keep=keep):  # holds the arrays that ptrs point into
             ks = np.ascontiguousarray(ks_cols, float)
-            L, (base, stride) = len(ks), keep[7:9]
-            if ks.shape != (L, C) or not 0 <= base.min() <= (base + (L - 1) * stride).max() < zs:
-                raise ValueError("the step kernel needs (L, C) Ks values, draws in range")
-            fn(n, C, B, L, zs, scale, Kdt, *ptrs[:5], ks.ctypes.data, *ptrs[5:])
+            if ks.shape != (len(ks), C):
+                raise ValueError("the step kernel needs (L, C) Ks values")
+            fn(n, C, B, len(ks), len(distinct), scale, Kdt, *ptrs, ks.ctypes.data)
         return advance
 
     # 2C = 30 runs the 8-, 4- and 2-wide tiles; rows 0-3, 4-8: two packed problems;
-    # Ks is 0 in column 0 and at step 1
+    # Ks is 0 in column 0 and at step 1; seeds 0, 28, 78, 551 and 2707 draw 16 and 20
+    # noise values each, among them numpy's ziggurat tail of each sign (one after a
+    # rejected try) and its wedges, accepted and rejected
     rng = np.random.default_rng(0)
     args = (sp.csr_matrix(rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.4)),
             rng.normal(size=(9, 1)), rng.uniform(0.0, 0.1),
-            rng.normal(0.0, 0.1, (9, 15)),
-            (rng.normal(size=(5, 36)), *_noise_rows([4, 5], 4), 10.0),
-            rng.uniform(0.0, 0.1, (4, 15)) * np.outer(np.arange(4) != 1, np.arange(15) > 0))
+            rng.normal(0.0, 0.1, (9, 15)))
+    ks = rng.uniform(0.0, 0.1, (4, 15)) * np.outer(np.arange(4) != 1, np.arange(15) > 0)
     ref = rng.uniform(-50.0, 50.0, (9, 15))
     out = ref.copy()
-    _steps(ref, *args)
-    kernel(out, *args[:5])(*args[5:])
+    for bind, Phi in ((_bind_numpy, ref), (kernel, out)):
+        gens = [[_substream(s, _STREAM_NOISE) for _ in "ab"] for s in (0, 28, 78, 551, 2707)]
+        bind(Phi, *args, (gens, [4, 5], 10.0))(ks)
     if ref.tobytes() != out.tobytes():
         warnings.warn("the compiled step kernel gives other bits than numpy here; "
                       "integrating with numpy", RuntimeWarning)
@@ -478,15 +508,13 @@ def step(state, problem, params, detuning=None, rng=None):
     """
     dt = params.dt
     Phi, dw = _columns(problem, state, detuning)
-    z = np.zeros((1, problem.n))  # one step's draws, as _steps reads them
-    if params.noise_amp > 0:
-        if rng is None:
-            raise SpecificationError("rng is required when noise_amp > 0")
-        z[0] = rng.standard_normal(problem.n)
+    if params.noise_amp > 0 and rng is None:
+        raise SpecificationError("rng is required when noise_amp > 0")
     adj, h_col, Kdt, ks2dt = _kernel_args(problem, params, state.time, dt)
     Phi = Phi.copy()
-    _steps(Phi, adj, h_col, Kdt, dt * dw,
-           (z, np.arange(problem.n), 0, params.noise_amp * math.sqrt(dt)), [ks2dt])
+    gens = [[rng] if params.noise_amp > 0 else []]
+    _bind_numpy(Phi, adj, h_col, Kdt, dt * dw,
+                (gens, [problem.n], params.noise_amp * math.sqrt(dt)))([ks2dt])
     return PhaseState(Phi[:, 0], state.time + dt)
 
 
@@ -576,19 +604,15 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
             dw[:, v * B + b] = per_size(lambda m: sample_detuning(m, prm.variability_pct, seed))
     dt_dw = dt * dw
 
-    gens = [] if params.noise_amp == 0 else [
-        (b, off, m, _substream(seed, _STREAM_NOISE)) for b, seed in enumerate(seeds)
-        for off, m in zip(np.cumsum([0] + distinct[:-1]), distinct)]
+    gens = [[_substream(seed, _STREAM_NOISE) for _ in distinct] if params.noise_amp else []
+            for seed in seeds]
 
     h_col = _field_col(group)
     adj = sp.block_diag([p.adjacency for p in group], format="csr")
     with _kernel_lock:  # lru_cache is no lock: threads on a cold cache would each build
-        bind = _load_kernel() or (lambda *args: partial(_steps, *args))  # numpy, alike
+        bind = _load_kernel() or _bind_numpy
 
-    nd = sum(distinct)  # draws per seed and step
-    chunk = max(1, min(256, _MAX_NOISE_DOUBLES // max(1, nd * B)))
-    draws = np.zeros((B, chunk * nd))  # reused by every block; never drawn into without noise
-    noise = (*_noise_rows(sizes, chunk), params.noise_amp * math.sqrt(dt))
+    chunk = max(1, min(256, _MAX_NOISE_DOUBLES // max(1, sum(distinct) * B)))
     # an energy trace samples (time, E, rounded H) at block ends: every
     # multiple of `every` steps (from 0 when trace_points > 1) and the end
     every = -(-total_steps // (trace_points - 1)) if trace_points > 1 else total_steps
@@ -599,7 +623,8 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
         start.wait()  # no slice runs ahead while another thread is still starting
         phi, dw = (np.ascontiguousarray(a.reshape(n, V, B)[:, :, b0:b1]).reshape(n, -1)
                    for a in (Phi, dt_dw))  # every variant's columns
-        advance = bind(phi, adj, h_col, params.K * dt, dw, (draws[b0:b1], *noise))
+        advance = bind(phi, adj, h_col, params.K * dt, dw,
+                       (gens[b0:b1], sizes, params.noise_amp * math.sqrt(dt)))
         done = 0
         while not (bad and done >= min(bad)[0]):
             if trace_points and (done == total_steps or trace_points > 1 and done % every == 0):
@@ -609,8 +634,6 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
             if done == total_steps:
                 break
             L = min(chunk, total_steps - done, every - done % every)
-            for b, off, m, gen in gens[b0 * len(distinct):b1 * len(distinct)]:
-                gen.standard_normal(out=draws[b, chunk * off:chunk * off + L * m])
             # 2*Ks*dt per (step, column), 0.0 where SYNC is off
             t = (done + np.arange(L)) * dt
             ks2dt = 2.0 * dt * np.array([v.ks_schedule.value(t) for v in variants])

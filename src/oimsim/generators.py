@@ -38,6 +38,10 @@ class Torus:
     cols: int
     diagonals: bool = False
 
+    def __post_init__(self):  # smaller grids would create duplicate wrap edges
+        _integer(self.rows, "torus rows", 3)
+        _integer(self.cols, "torus cols", 3)
+
 
 def _generator(seed):
     ss = np.random.SeedSequence((_integer(seed, "seed", 0), _GENERATOR_STREAM))
@@ -45,9 +49,6 @@ def _generator(seed):
 
 
 def _torus_edges(rows, cols, diagonals):
-    if rows < 3 or cols < 3:
-        raise SpecificationError("torus needs rows >= 3 and cols >= 3 "
-                                 "(smaller grids create duplicate wrap edges)")
     idx = np.arange(rows * cols).reshape(rows, cols)
     right = np.roll(idx, -1, axis=1)
     down = np.roll(idx, -1, axis=0)

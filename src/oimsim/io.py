@@ -158,7 +158,7 @@ def read_ising_json(text):
     if unknown:
         fail(f"$.{sorted(unknown)[0]}", "unknown key")
     try:
-        return IsingProblem(n, edges_raw, fields=h, name=name)
+        return IsingProblem(n, np.array(edges_raw), fields=h, name=name)
     except _RowError as e:
         fail(f"$.edges[{e.row}]", e.reason)
     except Exception as e:

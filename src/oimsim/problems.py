@@ -14,11 +14,12 @@ sorted arrays: IsingProblem.couplings and WeightedGraph.edges are views.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionError, SpecificationError
+from .errors import DimensionError, SpecificationError, _number
 
 __all__ = [
     "IsingProblem",
@@ -48,14 +49,14 @@ def _canonical_edges(n, edges, *, what="coupling", integer=False):
     """Validate and sort an (i, j, value) edge list on n nodes, 1 <= n <=
     _MAX_N; returns int32/float64 arrays.
 
-    Entries are normalized to i < j and sorted by (i, j). Self-loops,
-    out-of-range indices, duplicate pairs, zero or non-finite values are
-    rejected, and with integer=True also non-integer values and values of
-    magnitude 2**53 or more (which float64 cannot hold exactly). A
+    Entries are normalized to i < j and sorted by (i, j). Boolean entries,
+    self-loops, out-of-range indices, duplicate pairs, zero or non-finite
+    values are rejected, and with integer=True also non-integer values and
+    values of magnitude 2**53 or more (which float64 cannot hold exactly). A
     rejection is a _RowError naming the first row that fails the check;
     for a duplicate pair, the first row whose pair already appeared.
     """
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= _MAX_N:
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 1 <= n <= _MAX_N):
         raise SpecificationError("n must be an integer from 1 to 2**31 - 1")
     edges = edges if isinstance(edges, np.ndarray) else list(edges)
     if len(edges) == 0:
@@ -69,6 +70,11 @@ def _canonical_edges(n, edges, *, what="coupling", integer=False):
         raise _RowError("value", f"{what} entry beyond float64", row) from None
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise SpecificationError(f"{what} list must be (i, j, value) triples")
+    kinds = ({edges.dtype.type} if isinstance(edges, np.ndarray)
+             else set(map(type, chain.from_iterable(edges))))
+    if not kinds.isdisjoint({bool, np.bool_}):  # True is an int to Python, 1.0 to numpy
+        raise _RowError("value", f"{what} entries must be numbers, not booleans",
+                        next(k for k, e in enumerate(edges) if not all(map(_number, e))))
 
     def reject(kind, reason, mask):
         if mask.any():

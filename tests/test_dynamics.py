@@ -565,18 +565,17 @@ WRAP_EDGES = [-0.0, 0.0, -5e-324, -1e-17, TWO_PI, -TWO_PI,
 
 
 def wrapped(values):
-    """values after one _steps step with every term zero, which leaves a
-    nonzero phase as it is and then wraps it; the compiled kernel, where
+    """values after one numpy step with every term zero (and no noise), which
+    leaves a nonzero phase as it is and then wraps it; the compiled kernel, where
     there is one, must give the same bits with its own copy of the wrap."""
     import scipy.sparse as sp
-    from oimsim.dynamics import _load_kernel, _noise_rows, _steps
+    from oimsim.dynamics import _bind_numpy, _load_kernel
     x = np.array(values, dtype=np.float64)
     Phi = x.reshape(len(x), -1)  # a vector is one column
     n, C = Phi.shape
-    args = (sp.csr_matrix((n, n)), np.zeros((n, 1)), 0.0, np.zeros((n, C)),
-            (np.zeros((1, n)), *_noise_rows([n], 1), 0.0))
+    args = (sp.csr_matrix((n, n)), np.zeros((n, 1)), 0.0, np.zeros((n, C)), ([[]], [n], 0.0))
     ref = Phi.copy()
-    _steps(ref, *args, np.zeros((1, C)))
+    _bind_numpy(ref, *args)(np.zeros((1, C)))
     kernel = _load_kernel()
     if kernel is not None:
         out = Phi.copy()

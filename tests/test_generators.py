@@ -43,6 +43,15 @@ class TestTorus:
         with pytest.raises(SpecificationError):
             random_ising(8, Torus(2, 4), seed=0)
 
+    def test_boolean_size_rejected(self):
+        with pytest.raises(SpecificationError):
+            Torus(True, 2)
+
+
+def test_boolean_n_rejected():
+    with pytest.raises(SpecificationError):
+        random_ising(True, Complete(), seed=0)
+
 
 class TestComplete:
     def test_zero_draws_not_stored(self):

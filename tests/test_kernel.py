@@ -5,7 +5,9 @@ of _steps is the reference. Every test here asks for equal bits.
 """
 
 import dataclasses
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -85,18 +87,33 @@ class TestFallback:
         assert fallback_phases().tobytes() == reference.tobytes()
 
     def test_self_check_mismatch_warns_once(self, reference, fresh_loader, monkeypatch):
-        real = dyn._steps
+        # a numpy step, then a numpy draw, one step or value off the kernel's
+        real_steps, real_substream = dyn._steps, dyn._substream
 
         def off_by_a_bit(Phi, *args):
-            real(Phi, *args)
+            real_steps(Phi, *args)
             Phi += 1e-9
 
-        with monkeypatch.context() as m:
-            m.setattr(dyn, "_steps", off_by_a_bit)
-            with pytest.warns(RuntimeWarning) as record:
-                assert dyn._load_kernel() is None
-        assert len(record) == 1
-        assert fallback_phases().tobytes() == reference.tobytes()
+        class OneDrawOff:
+            """numpy's draws, the first of each fill one ulp up; the kernel
+            reads the untouched generator state"""
+
+            def __init__(self, seed, stream):
+                self.gen = real_substream(seed, stream)
+                self.bit_generator = self.gen.bit_generator
+
+            def standard_normal(self, out):
+                self.gen.standard_normal(out=out)
+                out[0] = np.nextafter(out[0], np.inf)
+
+        for name, doctored in (("_steps", off_by_a_bit), ("_substream", OneDrawOff)):
+            dyn._load_kernel.cache_clear()
+            with monkeypatch.context() as m:
+                m.setattr(dyn, name, doctored)
+                with pytest.warns(RuntimeWarning) as record:
+                    assert dyn._load_kernel() is None
+            assert len(record) == 1
+            assert fallback_phases().tobytes() == reference.tobytes()
 
     def test_cold_build_then_warm_load(self, fresh_loader, monkeypatch, tmp_path):
         kernel_or_skip()
@@ -361,16 +378,24 @@ class TestSeedSlices:
         # two slices of a noise-free 2-spin problem in 1,000 one-step blocks
         # on the numpy path, which keeps the GIL at this size: the second
         # slice's first block runs before the first slice's 100th. Each
-        # call is logged by its slice's rows of the draw buffer, in order.
+        # call is logged by its slice's phase matrix, in order; each slice
+        # owns its draw buffer, so the matrix's first phase before its first
+        # step (0.1 for seed 1, 0.2 for seed 2) names the slice.
         monkeypatch.setattr(dyn, "_load_kernel", lambda: None)
         monkeypatch.setattr(dyn, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", 4)
-        log, real = [], dyn._steps
-        monkeypatch.setattr(dyn, "_steps",
-                            lambda *a: log.append(a[5][0].ctypes.data) or real(*a))
+        log, start, real = [], {}, dyn._steps
+
+        def logged(*a):
+            start.setdefault(a[0].ctypes.data, a[0][0, 0])
+            log.append(a[0].ctypes.data)
+            real(*a)
+
+        monkeypatch.setattr(dyn, "_steps", logged)
         prm = DynamicsParams(noise_amp=0.0, cycles=1000.0, steps_per_cycle=1)
-        dyn._integrate_batch(IsingProblem(2, [(0, 1, 1.0)]), prm, [1, 2])
-        first, second = sorted(set(log))
+        dyn._integrate_batch(IsingProblem(2, [(0, 1, 1.0)]), prm, [1, 2],
+                             initial_phases=[[0.1, 0.2], [1.0, 1.0]])
+        first, second = sorted(start, key=start.get)
         assert log.count(first) == log.count(second) == 1000
         assert log.index(second) < [i for i, z in enumerate(log) if z == first][99]
 
@@ -395,13 +420,21 @@ EDGES = [0.0, np.nextafter(TWO_PI, 0.0), TWO_PI, np.nextafter(TWO_PI, 7.0), -1e-
          TWO_PI * 63 / 64, TWO_PI * 63.5 / 64, np.nextafter(TWO_PI * 63 / 64, 0.0)]
 
 
+def noise(seeds, sizes, scale, on=True):
+    """A binder's noise argument: fresh generators of each seed's noise
+    stream, one per distinct size (none when off)."""
+    distinct = dict.fromkeys(sizes)
+    return ([[dyn._substream(s, dyn._STREAM_NOISE) for _ in distinct] if on else []
+             for s in seeds], sizes, scale)
+
+
 @st.composite
 def probes(draw):
     """A phase matrix and one noise block's stepping arguments, for a packed
     group of 1-4 problems whose sizes may repeat (rows of equal-size problems
-    share their draws), C up to 20 columns, and draws that may start at a
-    step offset into a longer block (the integrator always reads from offset
-    0; the kernel takes any base). Half the phases may sit on EDGES."""
+    share their draws), C up to 20 columns, noise on or off, and a step at
+    which the kernel's block is cut in two calls (its generator states carry
+    over). Half the phases may sit on EDGES."""
     sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
     n = sum(sizes)
     B = draw(st.integers(1, 5))
@@ -416,26 +449,27 @@ def probes(draw):
     ks_cols[:, rng.integers(C)] = 0.0  # a column without SYNC
     ks_cols[rng.integers(L)] = 0.0  # a step without SYNC in any column
     dt_dw = rng.normal(0.0, 0.1, (n, C)) if draw(st.booleans()) else np.zeros((n, C))
-    skip = draw(st.integers(0, 2))
-    base, stride = dyn._noise_rows(sizes, L + skip)
-    z = rng.normal(size=(B, (L + skip) * sum(set(sizes))))
-    z = z if draw(st.booleans()) else np.zeros_like(z)
-    noise = (z, base + skip * stride, stride, draw(st.sampled_from([0.0, 0.1, 10.0])))
+    seeds = rng.integers(0, 2**32, B).tolist()
+    scale = draw(st.sampled_from([0.0, 0.1, 10.0]))
+    on = draw(st.booleans())
+    cut = draw(st.integers(0, L))
     Phi = rng.uniform(-draw(st.sampled_from([TWO_PI, 100.0])), 2 * TWO_PI, (n, C))
     if draw(st.booleans()):
         at = rng.random((n, C)) < 0.5
         Phi[at] = rng.choice(EDGES, at.sum())
-    return Phi, (adj, h_col, Kdt, dt_dw, noise), ks_cols
+    return Phi, (adj, h_col, Kdt, dt_dw), lambda: noise(seeds, sizes, scale, on), ks_cols, cut
 
 
 @given(probes())
 @settings(max_examples=60, deadline=None)
 def test_kernel_equals_numpy_steps(probe):
     kernel = kernel_or_skip()
-    Phi, args, ks_cols = probe
+    Phi, args, noise_arg, ks_cols, cut = probe
     ref, out = Phi.copy(), Phi.copy()
-    dyn._steps(ref, *args, ks_cols)
-    kernel(out, *args)(ks_cols)
+    dyn._bind_numpy(ref, *args, noise_arg())(ks_cols)
+    advance = kernel(out, *args, noise_arg())
+    advance(ks_cols[:cut])
+    advance(ks_cols[cut:])
     assert ref.tobytes() == out.tobytes()
 
 
@@ -449,14 +483,13 @@ def test_kernel_equals_numpy_steps_on_non_finite_phases(seed):
     Phi = rng.uniform(0.0, TWO_PI, (n, C))
     Phi.flat[rng.choice(n * C, len(EDGES) + 3, replace=False)] = EDGES + [np.nan, np.inf, -np.inf]
     adj = sp.csr_matrix(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.3))
-    noise = (rng.normal(size=(2, L * n)), *dyn._noise_rows([n], L), 0.1)
     args = (adj, rng.normal(size=(n, 1)), rng.uniform(0.0, 0.2),
-            rng.normal(0.0, 0.1, (n, C)), noise)
+            rng.normal(0.0, 0.1, (n, C)))
     ks_cols = rng.uniform(0.0, 0.2, (L, C))
     ref, out = Phi.copy(), Phi.copy()
     with np.errstate(invalid="ignore"):
-        dyn._steps(ref, *args, ks_cols)
-    kernel(out, *args)(ks_cols)
+        dyn._bind_numpy(ref, *args, noise([seed, seed + 1], [n], 0.1))(ks_cols)
+    kernel(out, *args, noise([seed, seed + 1], [n], 0.1))(ks_cols)
     assert np.isnan(ref).any() and np.isfinite(ref).any()
     assert ref.tobytes() == out.tobytes()
 
@@ -486,3 +519,91 @@ for seed in range(4):
     if run.returncode == 3:
         pytest.skip("the compiler cannot build the kernel with these checks")
     assert run.returncode == 0, run.stderr[-3000:]
+
+
+def kernel_tables():
+    """_step.c's ziggurat tables KI, WI and FI, as the compiler reads them."""
+    src = Path(dyn.__file__).with_name("_step.c").read_text()
+    body = {name: re.search(rf"{name}\[256\] = {{(.*?)}};", src, re.S)[1].replace(",", " ")
+            for name in ("KI", "WI", "FI")}
+    return {name: [int(v, 16) if name == "KI" else float(v) for v in text.split()]
+            for name, text in body.items()}
+
+
+def ziggurat_paths(seed, count):
+    """(tail, wedge) draws among the first `count` values of seed's noise
+    stream, by numpy's double ziggurat on its raw words: a word with rabs >=
+    ki[idx] is a slow draw, on the tail beyond r when idx is 0 (two words a
+    try), else on a wedge (one word, and a new try when rejected)."""
+    t = kernel_tables()
+    words = dyn._substream(seed, dyn._STREAM_NOISE).bit_generator.random_raw(count + count // 50)
+    idx = (words & 0xFF).astype(np.intp)
+    rabs = words >> np.uint64(9) & np.uint64(2**52 - 1)
+    unit = lambda w: int(w >> np.uint64(11)) / 2.0**53  # noqa: E731
+    at = values = tails = wedges = 0
+    for j in np.flatnonzero(rabs >= np.array(t["KI"], np.uint64)[idx]):
+        if j < at:  # a uniform of the last slow draw
+            continue
+        values += j - at  # fast draws up to this slow one
+        if values >= count:
+            break
+        at = j + 1
+        if idx[j] == 0:
+            tails, values = tails + 1, values + 1
+            while True:
+                xx = -0.27366123732975827203338247596 * math.log1p(-unit(words[at]))
+                yy = -math.log1p(-unit(words[at + 1]))
+                at += 2
+                if yy + yy > xx * xx:
+                    break
+        else:
+            wedges += 1
+            i, x = idx[j], float(rabs[j]) * t["WI"][idx[j]]
+            values += ((t["FI"][i - 1] - t["FI"][i]) * unit(words[at]) + t["FI"][i]
+                       < math.exp(-0.5 * x * x))
+            at += 1
+    return tails, wedges
+
+
+@pytest.mark.parametrize("variants, block", [(1, None), (3, 1200)])
+def test_kernel_draws_numpys_stream(variants, block, monkeypatch):
+    # 2,500 steps x 4 seeds x (30 + 70) distinct spins: 10**6 draws, in two
+    # seed slices of two packed sizes (the second 30-spin problem shares the
+    # first's draws), by 256-step blocks or 3-step ones across 3 variants
+    kernel_or_skip()
+    monkeypatch.setattr(dyn, "_usable_cpus", lambda: 2)
+    if block:
+        monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", block)
+    group = [random_ising(m, Complete(), seed=k) for k, m in enumerate([30, 70, 30])]
+    prm = DynamicsParams(cycles=25.0, steps_per_cycle=100, noise_amp=0.3,
+                         ks_schedule=KsSchedule.ramp(0.0, 10.0, 1.0))
+    params = (prm, prm.without_sync(), dataclasses.replace(prm, variability_pct=0.05))
+    seeds, runs = [4, 5, 6, 7], []
+    for load in (dyn._load_kernel, lambda: None):
+        monkeypatch.setattr(dyn, "_load_kernel", load)
+        runs.append(dyn._integrate_batch(group, params[:variants], seeds)[0].tobytes())
+    assert runs[0] == runs[1]
+    tails, wedges = map(sum, zip(*(ziggurat_paths(s, 2500 * 70) for s in seeds)))
+    assert tails > 0 and wedges > 0
+
+
+def test_tables_are_numpys(tmp_path):
+    # the member of numpy's static random library that defines ki_double, and
+    # its .rodata at the offsets nm gives
+    lib = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+    if not lib.exists() or not all(map(shutil.which, ("ar", "nm", "objcopy"))):
+        pytest.skip("no numpy/random/lib/libnpyrandom.a, or no ar, nm or objcopy")
+    run = lambda *cmd: subprocess.run(cmd, capture_output=True, check=True).stdout  # noqa: E731
+    (member,) = {line.split(b":")[-2] for line in run("nm", "-A", lib).splitlines()
+                 if line.endswith(b" ki_double")}
+    obj = tmp_path / "member.o"
+    obj.write_bytes(run("ar", "p", lib, member))
+    run("objcopy", "-O", "binary", "--only-section=.rodata", obj, tmp_path / "rodata")
+    rodata = (tmp_path / "rodata").read_bytes()
+    symbols = {f[3]: (int(f[0], 16), int(f[1], 16))
+               for f in map(bytes.split, run("nm", "-S", obj).splitlines()) if len(f) == 4}
+    for name, dtype in (("KI", np.uint64), ("WI", np.float64), ("FI", np.float64)):
+        at, size = symbols[f"{name.lower()}_double".encode()]
+        assert size == 256 * 8
+        assert (np.frombuffer(rodata, dtype, 256, at).tobytes()
+                == np.array(kernel_tables()[name], dtype).tobytes())

@@ -212,6 +212,18 @@ class TestHamiltonian:
         assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("make", [
+    lambda: IsingProblem(True, []),
+    lambda: WeightedGraph(True, []),
+    lambda: IsingProblem(2, [(0, True, 1.0)]),
+    lambda: IsingProblem(2, [(0, 1, True)]),
+], ids=["ising_n", "graph_n", "ising_index", "ising_value"])
+def test_booleans_are_no_sizes_or_entries(make):
+    # True is an int to Python and 1.0 to numpy, and neither a size nor an entry here
+    with pytest.raises(SpecificationError):
+        make()
+
+
 class TestWeightedGraph:
     def test_construction(self):
         g = WeightedGraph(3, [(0, 1, 1), (1, 2, 2)])
