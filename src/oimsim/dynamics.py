@@ -39,10 +39,10 @@ sincos in the order of the phases' bins of [0, 2*pi), as sincos branches
 on range and quadrant; the order of calls changes no bit.
 It draws each step's normals itself, from the PCG64 state of each seed's
 generator per distinct problem size, by numpy's ziggurat with numpy's
-tables (BSD licence, see _step.c): numpy's values. Only the numpy path
-draws a block at once, into one reused seed-major buffer with one (steps,
-spins) region per distinct size. Problems of a size read its draws on
-both paths; seed slices run side by side on threads (see _integrate_batch).
+tables (BSD licence, see _step.c): numpy's values. _steps draws them the
+same way with Generator.standard_normal, one step at a time. Problems of a
+size read its draws; seed slices run side by side on threads (see
+_integrate_batch).
 The kernel is compiled once per machine (cc -O3 -ffp-contract=off) into
 $XDG_CACHE_HOME/oimsim or ~/.cache/oimsim (delete it to rebuild) and
 loaded with ctypes only if a self-check finds numpy's bits, steps and
@@ -104,10 +104,10 @@ _STREAM_INIT = 0
 _STREAM_DETUNE = 1
 _STREAM_NOISE = 2
 
-# blocks of at most 256 steps and this many draws (the numpy path's buffer): their
-# ends are where divergence is checked and a trace samples. A Generator's stream
-# is the same at any block length, so this never changes results
-_MAX_NOISE_DOUBLES = 262_144  # 2 MB
+# steps per block, cut short at trace samples and at the end: block ends are where
+# divergence is checked and a trace samples. Each step draws its own normals, so
+# the block length never changes results
+_BLOCK_STEPS = 256
 _MIN_SLICE = 256  # phases (spins x columns) per thread, at least: fewer gain nothing
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")  # how _load_kernel builds _step.c
 _budget = threading.local()  # .threads: a unit thread's share of the CPUs (else all)
@@ -370,48 +370,39 @@ def _coupling(Phi, adj, h_col, Kdt, ks2dt):
 
 def _steps(Phi, adj, h_col, Kdt, dt_dw, noise, ks_cols):
     """One Euler-Maruyama step in place on a C-ordered (n, C) phase matrix
-    for each step k of a noise block: _coupling's with ks_cols[k] (2*Ks*dt
-    per column), plus dt_dw (dt * detuning), plus the noise (z, base, stride,
-    scale): scale * z[b, base[i] + k * stride[i]] for row i and seed b of
-    each B-column variant block, z of shape (B, zs).
+    for each k: _coupling's with ks_cols[k] (2*Ks*dt per column), plus dt_dw
+    (dt * detuning), plus the noise (gens, sizes, scale) as oim_steps draws
+    it: each step, seed b's generators (one per distinct size, none without
+    noise) fill z[b] in turn, and row i of seed b in each B-column variant
+    block adds scale * z[b, _rows(sizes)[i]].
     """
-    z, base, stride, scale = noise
-    blocks = Phi.reshape(len(Phi), -1, len(z))
+    gens, sizes, scale = noise
+    offs = np.cumsum([0, *dict.fromkeys(sizes)])
+    z = np.zeros((len(gens), offs[-1]))
+    rows = _rows(sizes)
+    blocks = Phi.reshape(len(Phi), -1, len(gens))
     for k in range(len(ks_cols)):
+        for row, seed_gens in zip(z, gens):
+            for off, end, gen in zip(offs, offs[1:], seed_gens):
+                gen.standard_normal(out=row[off:end])
         Phi -= _coupling(Phi, adj, h_col, Kdt, ks_cols[k])
         Phi += dt_dw
-        blocks += (scale * z[:, base + k * stride].T)[:, None, :]
+        blocks += (scale * z[:, rows].T)[:, None, :]
         np.mod(Phi, TWO_PI, out=Phi)
 
 
-def _noise_rows(sizes, L):
-    """Each row's (base, stride) into a seed-major (B, L * sum of distinct
-    sizes) draw block that holds one (L, m) region per distinct size m, in
-    order of first appearance, read by every problem of that size."""
+def _rows(sizes):
+    """Each row's index into a seed's draws of one step: one run of m values
+    per distinct size m, in order of first appearance, read by every
+    problem of that size."""
     distinct = list(dict.fromkeys(sizes))
-    start = dict(zip(distinct, L * np.cumsum([0] + distinct[:-1])))
-    return (np.concatenate([start[m] + np.arange(m) for m in sizes]),
-            np.repeat(sizes, sizes))
+    start = dict(zip(distinct, np.cumsum([0] + distinct[:-1])))
+    return np.concatenate([start[m] + np.arange(m) for m in sizes])
 
 
 def _bind_numpy(Phi, adj, h_col, Kdt, dt_dw, noise):
-    """advance(ks_cols) on the numpy path, as _load_kernel's kernel binds it: noise
-    is (gens, sizes, scale), gens[b] seed b's generator per distinct size (none
-    without noise); a block draws into one reused seed-major buffer, then _steps."""
-    gens, sizes, scale = noise
-    distinct = list(dict.fromkeys(sizes))
-    z = np.zeros((len(gens), 0))
-
-    def advance(ks_cols):
-        nonlocal z
-        L = len(ks_cols)
-        if z.shape[1] < L * sum(distinct):  # sized by the first, longest block
-            z = np.zeros((len(gens), L * sum(distinct)))
-        for row, seed_gens in zip(z, gens):  # never drawn into without noise
-            for off, m, gen in zip(L * np.cumsum([0] + distinct[:-1]), distinct, seed_gens):
-                gen.standard_normal(out=row[off:off + L * m])
-        _steps(Phi, adj, h_col, Kdt, dt_dw, (z, *_noise_rows(sizes, L), scale), ks_cols)
-    return advance
+    """advance(ks_cols) on the numpy path, as _load_kernel's kernel binds it."""
+    return lambda ks_cols: _steps(Phi, adj, h_col, Kdt, dt_dw, noise, ks_cols)
 
 
 def _usable_cpus():
@@ -464,7 +455,7 @@ def _load_kernel():
                          for k in (0, 64)] for g in row] for row in gens], np.uint64)  # state, inc
         keep = [Phi, cast(adj.indptr, n + 1, np.int64), cast(adj.indices, adj.nnz, np.int64),
                 cast(adj.data, adj.nnz), cast(h_col, (n, 1)), cast(dt_dw, (n, C)), st,
-                np.array(distinct, np.int64), cast(_noise_rows(sizes, 1)[0], n, np.int64),
+                np.array(distinct, np.int64), cast(_rows(sizes), n, np.int64),
                 np.zeros((B, sum(distinct))), np.empty((n + 1, 2 * C)), np.empty(n * C),
                 np.empty(n * C, np.int64), np.empty(n * C, np.uint8)]  # draws, workspace, sort
         if (Phi.dtype != np.float64 or not Phi.flags.c_contiguous or C % B or sum(sizes) != n
@@ -513,8 +504,8 @@ def step(state, problem, params, detuning=None, rng=None):
     adj, h_col, Kdt, ks2dt = _kernel_args(problem, params, state.time, dt)
     Phi = Phi.copy()
     gens = [[rng] if params.noise_amp > 0 else []]
-    _bind_numpy(Phi, adj, h_col, Kdt, dt * dw,
-                (gens, [problem.n], params.noise_amp * math.sqrt(dt)))([ks2dt])
+    _steps(Phi, adj, h_col, Kdt, dt * dw, (gens, [problem.n], params.noise_amp * math.sqrt(dt)),
+           [ks2dt])
     return PhaseState(Phi[:, 0], state.time + dt)
 
 
@@ -575,7 +566,7 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
         raise SpecificationError("an energy trace covers a single run (problem, variant, seed)")
 
     distinct = list(dict.fromkeys(sizes))
-    rows = _noise_rows(sizes, 1)[0]  # row i reads value rows[i] of a seed's per-size draws
+    rows = _rows(sizes)  # row i reads value rows[i] of a seed's per-size draws
     per_size = lambda draw: np.concatenate([draw(m) for m in distinct])[rows]  # noqa: E731
 
     Phi = np.empty((n, V * B))
@@ -612,7 +603,6 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     with _kernel_lock:  # lru_cache is no lock: threads on a cold cache would each build
         bind = _load_kernel() or _bind_numpy
 
-    chunk = max(1, min(256, _MAX_NOISE_DOUBLES // max(1, sum(distinct) * B)))
     # an energy trace samples (time, E, rounded H) at block ends: every
     # multiple of `every` steps (from 0 when trace_points > 1) and the end
     every = -(-total_steps // (trace_points - 1)) if trace_points > 1 else total_steps
@@ -633,7 +623,7 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
                                 hamiltonian(group[0], round_phases(state))))
             if done == total_steps:
                 break
-            L = min(chunk, total_steps - done, every - done % every)
+            L = min(_BLOCK_STEPS, total_steps - done, every - done % every)
             # 2*Ks*dt per (step, column), 0.0 where SYNC is off
             t = (done + np.arange(L)) * dt
             ks2dt = 2.0 * dt * np.array([v.ks_schedule.value(t) for v in variants])
@@ -708,7 +698,7 @@ def simulate(problem, params=None, seed=0, *, trace_points=0):
     Lyapunov, rounded H) samples: at most trace_points of them, the last at
     the final step. With 2 or more points they are taken every s =
     ceil(total_steps / (trace_points - 1)) steps from t = 0, at the ends of
-    noise blocks cut to that length, plus the final step when s does not
+    blocks of steps cut to that length, plus the final step when s does not
     divide total_steps; with 1 point, only the final step.
     """
     if params is None:

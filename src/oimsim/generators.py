@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecificationError, _integer
-from .problems import IsingProblem
+from .problems import IsingProblem, _size
 
 __all__ = ["Complete", "Torus", "random_ising"]
 
@@ -71,6 +71,7 @@ def random_ising(n, topology, seed):
 
     Deterministic in (n, topology, seed). Fields h are always zero.
     """
+    _size(n)
     rng = _generator(seed)
     if isinstance(topology, Complete):
         iu, ju = np.triu_indices(n, k=1)

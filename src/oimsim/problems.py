@@ -45,6 +45,12 @@ class _RowError(SpecificationError):
         self.kind, self.reason, self.row = kind, reason, row
 
 
+def _size(n):
+    """SpecificationError unless n is an integer (not a bool) from 1 to _MAX_N."""
+    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 1 <= n <= _MAX_N):
+        raise SpecificationError("n must be an integer from 1 to 2**31 - 1")
+
+
 def _canonical_edges(n, edges, *, what="coupling", integer=False):
     """Validate and sort an (i, j, value) edge list on n nodes, 1 <= n <=
     _MAX_N; returns int32/float64 arrays.
@@ -56,8 +62,7 @@ def _canonical_edges(n, edges, *, what="coupling", integer=False):
     rejection is a _RowError naming the first row that fails the check;
     for a duplicate pair, the first row whose pair already appeared.
     """
-    if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 1 <= n <= _MAX_N):
-        raise SpecificationError("n must be an integer from 1 to 2**31 - 1")
+    _size(n)
     edges = edges if isinstance(edges, np.ndarray) else list(edges)
     if len(edges) == 0:
         return (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32),

@@ -1,6 +1,10 @@
-"""Shared fixtures: G-set instance discovery and acceptance reporting."""
+"""Shared fixtures: G-set instance discovery, a memory-capped interpreter and
+acceptance reporting."""
 
 import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +38,21 @@ def require_gset(name):
         pytest.skip(f"G-set instance {name} not available (looked in {gset_dir()}; "
                     f"set OIM_GSET_DIR or see README to fetch it)")
     return path
+
+
+@pytest.fixture
+def capped_python():
+    """run(*args): python with these arguments and the package on its path, in a
+    process of at most 2 GiB of address space, so that a size a check lets
+    through fails to allocate instead of taking tens of GB."""
+    cap = 2 * 1024**3
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                              timeout=120, preexec_fn=lambda: resource.setrlimit(
+                                  resource.RLIMIT_AS, (cap, cap)))
+    return run
 
 
 @pytest.fixture

@@ -31,6 +31,16 @@ def test_workflow_runs_the_benchmark_tests():
     assert "python -m pytest -q perfbench/tests" in WORKFLOW.read_text(encoding="utf-8")
 
 
+def test_workflow_runs_the_numpy_fallback():
+    # a tier-1 step where no compiler is on PATH and the kernel cache is empty
+    tier1 = WORKFLOW.read_text(encoding="utf-8").split("tier1:")[1].split("min-versions:")[0]
+    step = tier1.split("- name: No-compiler fallback")[1].split("- name:")[0]
+    assert ("""XDG_CACHE_HOME="$RUNNER_TEMP/no-cc" """
+            """PATH="$(dirname "$(python -c 'import sys; print(sys.executable)')")" """
+            "PYTHONPATH=src python -m pytest -q tests/test_golden.py tests/test_shared_draws.py "
+            "tests/test_dynamics.py") in " ".join(step.replace("\\\n", " ").split())
+
+
 def test_workflow_runs_every_demo():
     # 04 needs published G-set files, which the runner cannot download
     demos = WORKFLOW.read_text(encoding="utf-8").split("- name: Demos")[1].split("- name:")[0]

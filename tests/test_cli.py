@@ -161,6 +161,13 @@ class TestGen:
         assert run(["gen", "--spins", "60", "--topology", "torus:8:8",
                     "--out", tmp_path / "x.json"]) == 2
 
+    def test_gen_huge_size_exits_2(self, tmp_path, capped_python):
+        proc = capped_python("-m", "oimsim.cli", "gen", "--spins", "3000000000",
+                             "--topology", "complete", "--out", str(tmp_path / "x.json"))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "oimsim: n must be an integer from 1 to 2**31 - 1\n"
+        assert not (tmp_path / "x.json").exists()
+
     def test_gen_bad_topology(self, tmp_path):
         assert run(["gen", "--spins", "4", "--topology", "ring",
                     "--out", tmp_path / "x.json"]) == 2

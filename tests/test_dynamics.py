@@ -311,7 +311,7 @@ class TestSimulate:
         assert hits >= 9
 
     def test_matches_manual_stepping(self):
-        # chunked noise and the batched kernel reproduce plain step() calls
+        # blocks of steps and the batched kernel reproduce plain step() calls
         p = random_problem(5, 8)
         prm = params_with(ks_level=0.9, cycles=3.0, steps_per_cycle=50,
                           noise_amp=0.15)
@@ -381,11 +381,11 @@ class TestTraceSampler:
     @pytest.mark.parametrize("total, points, count", [
         (5, 1, 1), (5, 2, 2), (7, 3, 3), (10, 4, 4), (120, 7, 7), (301, 50, 44),
         (5, 10, 6), (7, 8, 8)])
-    @pytest.mark.parametrize("block_doubles", [None, 24])
-    def test_sample_steps(self, total, points, count, block_doubles, monkeypatch):
+    @pytest.mark.parametrize("block_steps", [None, pytest.param(4, id="24")])
+    def test_sample_steps(self, total, points, count, block_steps, monkeypatch):
         import oimsim.dynamics as dyn
-        if block_doubles is not None:  # 24 // 6 spins: 4-step noise blocks
-            monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", block_doubles)
+        if block_steps is not None:
+            monkeypatch.setattr(dyn, "_BLOCK_STEPS", block_steps)
         p = random_problem(6, 9)
         prm = params_with(cycles=total / 4, steps_per_cycle=4, noise_amp=0.2)
         res = simulate(p, prm, seed=1, trace_points=points)
@@ -437,8 +437,8 @@ class TestPackedGroups:
         prm = params_with(cycles=3.01, noise_amp=0.2, variability_pct=0.03)
         seeds = [4, 5, 6]
         ref, _ = dyn._integrate_batch(p, prm, seeds)
-        # 113 // (12 * 3) = 3 steps per block; 301 steps leave a short last block
-        monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", 113)
+        # 3 steps per block; 301 steps leave a short last block
+        monkeypatch.setattr(dyn, "_BLOCK_STEPS", 3)
         small, _ = dyn._integrate_batch(p, prm, seeds)
         assert np.array_equal(ref, small)
         assert np.array_equal(dyn.round_phases(ref), dyn.round_phases(small))

@@ -53,6 +53,19 @@ def test_boolean_n_rejected():
         random_ising(True, Complete(), seed=0)
 
 
+@pytest.mark.parametrize("n", [None, "3"])
+def test_n_is_checked_before_drawing(n):
+    with pytest.raises(SpecificationError, match="n must be an integer"):
+        random_ising(n, Complete(), seed=0)
+
+
+def test_n_beyond_int32_rejected_before_allocating(capped_python):
+    proc = capped_python("-c", "import oimsim; oimsim.random_ising(2**31, oimsim.Complete(), 0)")
+    assert proc.returncode == 1
+    assert proc.stderr.strip().endswith(
+        "SpecificationError: n must be an integer from 1 to 2**31 - 1"), proc.stderr
+
+
 class TestComplete:
     def test_zero_draws_not_stored(self):
         p = random_ising(30, Complete(), seed=0)

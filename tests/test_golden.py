@@ -22,7 +22,7 @@ from oimsim import (BenchmarkSpec, Complete, DynamicsParams, IsingProblem,
                     KsSchedule, Torus, ablation_compare, random_ising,
                     run_benchmark, run_seeds, simulate)
 
-# 300 steps span more than one noise block at every block size the integrator picks
+# 300 steps: one full 256-step block, then a short one
 PARAMS = DynamicsParams(cycles=6.0, steps_per_cycle=50,
                         ks_schedule=KsSchedule.ramp(0.0, 3.0, 1.0))
 
@@ -36,6 +36,8 @@ GOLDEN = {
     "bench_variability": "e1f09b5522fae41107b4b8a8f57b9fee48836a069ebdd3bfada3ce3cb1ea3e50",
     # every variant of ablation_compare, in variant order
     "ablation": "fbedd698da8dc9bad4ed500cb818d38235aa9abe4d9524bd2113f621ba8dcda6",
+    # one group of sizes 3, 5, 3, 7 under two variants, variant-major
+    "packed_sizes": "0f17061ab1d9d0e68d8f600ab9330e7dce037299d9f38ab3fc7edee1f463c5b9",
 }
 
 
@@ -91,6 +93,17 @@ def test_packed_run_seeds_golden():
     assert digest(rows) == GOLDEN["mixed_run_seeds"]
 
 
+def test_packed_sizes_golden():
+    # three distinct sizes in one group, each reading its own draws of a step,
+    # with noise strong enough that a misread draw changes final spins
+    group = [random_ising(m, Complete(), seed=k) for k, m in enumerate([3, 5, 3])]
+    group.append(with_fields(7, 4))
+    params = replace(PARAMS, noise_amp=0.5)
+    variants = (params, replace(params, variability_pct=0.05))
+    rows = [(r.seed, r.spins, r.H) for r in run_seeds(group, variants, [2, 3, 4])]
+    assert digest(rows) == GOLDEN["packed_sizes"]
+
+
 @pytest.mark.parametrize("parallelism", [1, 2])
 @pytest.mark.parametrize("mode", ["standard", "no_sync", "variability"])
 def test_run_benchmark_golden(mode, parallelism):
@@ -124,6 +137,7 @@ class TestNumpyPath:
     test_simulate_golden = staticmethod(test_simulate_golden)
     test_run_seeds_golden = staticmethod(test_run_seeds_golden)
     test_packed_run_seeds_golden = staticmethod(test_packed_run_seeds_golden)
+    test_packed_sizes_golden = staticmethod(test_packed_sizes_golden)
     test_run_benchmark_golden = staticmethod(test_run_benchmark_golden)
     test_ablation_golden = staticmethod(test_ablation_golden)
 
@@ -145,5 +159,6 @@ class TestThreadBudgets:
     test_simulate_golden = staticmethod(test_simulate_golden)
     test_run_seeds_golden = staticmethod(test_run_seeds_golden)
     test_packed_run_seeds_golden = staticmethod(test_packed_run_seeds_golden)
+    test_packed_sizes_golden = staticmethod(test_packed_sizes_golden)
     test_run_benchmark_golden = staticmethod(test_run_benchmark_golden)
     test_ablation_golden = staticmethod(test_ablation_golden)

@@ -186,7 +186,7 @@ class TestFallback:
 
 
 def test_trace_same_on_both_paths(monkeypatch):
-    # 120 steps in one noise block: the kernel is called between samples
+    # 120 steps in one block: the kernel is called between samples
     runs = [dyn.simulate(group()[1], VARIANTS[0], seed=3, trace_points=7)]
     monkeypatch.setattr(dyn, "_load_kernel", lambda: None)
     runs.append(dyn.simulate(group()[1], VARIANTS[0], seed=3, trace_points=7))
@@ -199,13 +199,13 @@ def test_trace_same_on_both_paths(monkeypatch):
 
 @pytest.mark.parametrize("fused", [True, False])
 def test_tracing_does_not_change_phases(fused, monkeypatch):
-    # 301 steps at stride ceil(301 / 49) = 7 and 3-step noise blocks: the
+    # 301 steps at stride ceil(301 / 49) = 7 and 3-step blocks: the
     # trace cuts blocks short, and the last sample is not on the stride
     if fused:
         kernel_or_skip()
     else:
         monkeypatch.setattr(dyn, "_load_kernel", lambda: None)
-    monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", 24)  # 24 // 8 spins
+    monkeypatch.setattr(dyn, "_BLOCK_STEPS", 3)
     prm = dataclasses.replace(VARIANTS[0], cycles=301 / 30, variability_pct=0.05)
     assert prm.total_steps == 301
     plain, none = dyn._integrate_batch(group()[1], prm, [3])
@@ -246,7 +246,7 @@ class TestDivergence:
                               ks_schedule=KsSchedule.constant(0.5))
         params = (base, base.without_sync(),
                   dataclasses.replace(base, variability_pct=0.05)) if fused else base
-        monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", 150)  # 4-step noise blocks
+        monkeypatch.setattr(dyn, "_BLOCK_STEPS", 4)
         found = []
         for load in (dyn._load_kernel, lambda: None):
             monkeypatch.setattr(dyn, "_load_kernel", load)
@@ -256,6 +256,23 @@ class TestDivergence:
                     dyn._integrate_batch([ok, bad], params, [3, 4, 5, 6])
                 found.append((ei.value.step, ei.value.seed, ei.value.problem))
         assert found == [(12, 3, "bad")] * 6
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_wide_batch_checks_at_256_steps(self, fused, monkeypatch):
+        # 200 spins x 10 seeds draw 2,000 normals a step, and the run overflows
+        # in its first step: blocks are 256 steps at any batch width
+        if fused:
+            kernel_or_skip()
+        else:
+            monkeypatch.setattr(dyn, "_load_kernel", lambda: None)
+        bad = IsingProblem(200, [(i, i + 1, 0.91) for i in range(199)])
+        prm = DynamicsParams(K=1e308, noise_amp=0.5, cycles=300.0, steps_per_cycle=1)
+        for threads in (1, 2):
+            monkeypatch.setattr(dyn, "_usable_cpus", lambda: threads)
+            with pytest.raises(NumericalDivergenceError) as ei:
+                dyn._integrate_batch(bad, prm, list(range(10)))
+            assert ei.value.step == 256
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("fused", [False, True])
@@ -272,7 +289,7 @@ class TestDivergence:
                              ks_schedule=KsSchedule.constant(5e307))
         init = np.zeros((4, 3))
         init[3] = [np.pi / 6, np.pi / 4, np.pi / 4]
-        monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", 6)  # one-step blocks: 3 seeds x 2 draws
+        monkeypatch.setattr(dyn, "_BLOCK_STEPS", 1)
         found = []
         for threads in (1, 2, 3):
             monkeypatch.setattr(dyn, "_usable_cpus", lambda: threads)
@@ -289,7 +306,7 @@ class TestDivergence:
         calls, real = [], dyn._steps
         monkeypatch.setattr(dyn, "_steps", lambda *a: calls.append(1) or real(*a))
         monkeypatch.setattr(dyn, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", 8)
+        monkeypatch.setattr(dyn, "_BLOCK_STEPS", 1)
         bad = IsingProblem(2, [(0, 1, 1.5e308)], name="bad")
         prm = DynamicsParams(K=1.0, noise_amp=0.0, cycles=4000.0, steps_per_cycle=1,
                              ks_schedule=KsSchedule.constant(5e307))
@@ -304,7 +321,7 @@ class TestDivergence:
         # 12 one-seed slices on fewer cores, the interpreter switching threads
         # every microsecond: seed 9 (step 2) still wins over seed 4 (step 3)
         monkeypatch.setattr(dyn, "_usable_cpus", lambda: 12)
-        monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", 24)  # one-step blocks
+        monkeypatch.setattr(dyn, "_BLOCK_STEPS", 1)
         bad = IsingProblem(2, [(0, 1, 1.5e308)], name="bad")
         prm = DynamicsParams(K=1.0, noise_amp=0.0, cycles=200.0, steps_per_cycle=1,
                              ks_schedule=KsSchedule.constant(5e307))
@@ -379,11 +396,11 @@ class TestSeedSlices:
         # on the numpy path, which keeps the GIL at this size: the second
         # slice's first block runs before the first slice's 100th. Each
         # call is logged by its slice's phase matrix, in order; each slice
-        # owns its draw buffer, so the matrix's first phase before its first
+        # owns its phase matrix, so the matrix's first phase before its first
         # step (0.1 for seed 1, 0.2 for seed 2) names the slice.
         monkeypatch.setattr(dyn, "_load_kernel", lambda: None)
         monkeypatch.setattr(dyn, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", 4)
+        monkeypatch.setattr(dyn, "_BLOCK_STEPS", 1)
         log, start, real = [], {}, dyn._steps
 
         def logged(*a):
@@ -430,7 +447,7 @@ def noise(seeds, sizes, scale, on=True):
 
 @st.composite
 def probes(draw):
-    """A phase matrix and one noise block's stepping arguments, for a packed
+    """A phase matrix and one block's stepping arguments, for a packed
     group of 1-4 problems whose sizes may repeat (rows of equal-size problems
     share their draws), C up to 20 columns, noise on or off, and a step at
     which the kernel's block is cut in two calls (its generator states carry
@@ -565,7 +582,7 @@ def ziggurat_paths(seed, count):
     return tails, wedges
 
 
-@pytest.mark.parametrize("variants, block", [(1, None), (3, 1200)])
+@pytest.mark.parametrize("variants, block", [(1, None), pytest.param(3, 3, id="3-1200")])
 def test_kernel_draws_numpys_stream(variants, block, monkeypatch):
     # 2,500 steps x 4 seeds x (30 + 70) distinct spins: 10**6 draws, in two
     # seed slices of two packed sizes (the second 30-spin problem shares the
@@ -573,7 +590,7 @@ def test_kernel_draws_numpys_stream(variants, block, monkeypatch):
     kernel_or_skip()
     monkeypatch.setattr(dyn, "_usable_cpus", lambda: 2)
     if block:
-        monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", block)
+        monkeypatch.setattr(dyn, "_BLOCK_STEPS", block)
     group = [random_ising(m, Complete(), seed=k) for k, m in enumerate([30, 70, 30])]
     prm = DynamicsParams(cycles=25.0, steps_per_cycle=100, noise_amp=0.3,
                          ks_schedule=KsSchedule.ramp(0.0, 10.0, 1.0))

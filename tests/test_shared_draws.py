@@ -45,8 +45,8 @@ def budget(request, monkeypatch):
 
 @pytest.mark.usefixtures("budget")
 def test_packed_equal_sizes_match_runs_alone(monkeypatch):
-    # 120 steps in several noise blocks, packed and alone
-    monkeypatch.setattr(dyn, "_MAX_NOISE_DOUBLES", 500)
+    # 120 steps in 11-step blocks, packed and alone
+    monkeypatch.setattr(dyn, "_BLOCK_STEPS", 11)
     group = sizes_group()
     packed = run_seeds(group, VARIANTS, SEEDS)
     alone = [run_seeds(p, v, SEEDS) for v in VARIANTS for p in group]

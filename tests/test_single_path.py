@@ -15,7 +15,7 @@ from oimsim import (DynamicsParams, IsingProblem, KsSchedule, ParseError,
                     PhaseState, SpecificationError, WeightedGraph, drift,
                     maxcut_to_ising, parse_gset, read_ising_json, simulate)
 from oimsim.cli import main
-from oimsim.dynamics import _noise_rows, _steps
+from oimsim.dynamics import _steps
 
 G1_SHAPE = (800, 19176)  # vertices and unit edges of er800_batch
 
@@ -67,8 +67,8 @@ class TestSharedCouplingKernel:
         # phases well inside (0, 2*pi) so the step never wraps
         phi = rng.uniform(1.0, 5.0, n)
         Phi = phi.reshape(-1, 1).copy()
-        noise = (np.zeros((1, n)), *_noise_rows([n], 1), 0.0)
-        _steps(Phi, p.adjacency, p.h.reshape(-1, 1), prm.K * dt, 0.0, noise, [2.0 * dt * 0.9])
+        _steps(Phi, p.adjacency, p.h.reshape(-1, 1), prm.K * dt, 0.0, ([[]], [n], 0.0),
+               [2.0 * dt * 0.9])
         d = drift(p, PhaseState(phi), prm)
         np.testing.assert_allclose(d, (Phi[:, 0] - phi) / dt, rtol=0, atol=1e-12)
 
