@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .dynamics import DynamicsParams, _as_variants, _share_cpus, _usable_cpus, run_seeds
-from .errors import CapacityError, SpecificationError, _integer, _number
+from .errors import CapacityError, SpecificationError, _integer, _number, _one_or_many, _reals
 from .io import BestKnownCatalog
 from .oracles import BRUTE_FORCE_MAX_N, brute_force
 from .problems import IsingProblem, cut_from_hamiltonian
@@ -211,7 +211,7 @@ def _aggregate(spec, entry, results):
 def _as_specs(spec):
     """(specs, their params): one spec, or specs that differ only in params,
     within what dynamics._as_variants lets batched variants differ in."""
-    specs = (spec,) if isinstance(spec, BenchmarkSpec) else tuple(spec)
+    specs = _one_or_many(spec, BenchmarkSpec, "spec")
     shared = [(s.problems, s.runs, s.seed_base, s.oracle) for s in specs]
     if any(key != shared[0] for key in shared[1:]):
         raise SpecificationError("specs run together may differ only in params")
@@ -277,19 +277,19 @@ class EnergyHistogram:
 
 def histogram(values, reference=None, bins=10):
     """Bin values (minus the reference, when given) into equal-width bins."""
-    try:
-        vals = np.asarray(list(values), dtype=np.float64)
-        if reference is not None:
-            vals, reference = vals - reference, float(reference)
-    except (TypeError, ValueError, OverflowError):  # not numbers, not iterable, too big
-        raise SpecificationError("histogram values and reference must be real numbers") from None
+    vals = _reals(values, "histogram values")
+    ref = 0.0 if reference is None else _reals(reference, "histogram reference")
+    if vals.ndim == 0 or np.ndim(ref):
+        raise SpecificationError("histogram values and reference must be real numbers")
     if vals.size == 0:
         raise SpecificationError("histogram needs at least one value")
     _integer(bins, "bins", 1)
+    vals = vals - ref  # exact when there is no reference
     if not np.all(np.isfinite(vals)):
         raise SpecificationError("histogram values, minus the reference, must be finite")
     counts, edges = np.histogram(vals, bins=bins)
-    return EnergyHistogram(edges=edges, counts=counts, reference=reference)
+    return EnergyHistogram(edges=edges, counts=counts,
+                           reference=None if reference is None else float(ref))
 
 
 # --- ablations ---------------------------------------------------------------

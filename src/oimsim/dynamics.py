@@ -51,8 +51,8 @@ compiler or writable cache, with a RuntimeWarning after a failed
 self-check. drift(), lyapunov() and step() always use numpy. Randomness is
 split into independent substreams of the run seed,
 Generator(PCG64(SeedSequence((seed, stream)))), with stream 0 = initial
-phases, 1 = detuning, 2 = integration noise. Runs are bit-reproducible for
-a fixed (problem, params, seed) on a given platform.
+phases, 1 = detuning, 2 = integration noise, 3 = random_ising. Runs are
+bit-reproducible for a fixed (problem, params, seed) on a given platform.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ import tempfile
 import threading
 import time
 import warnings
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -79,7 +80,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (DimensionError, NumericalDivergenceError, SpecificationError, _finite,
-                     _integer, _number)
+                     _integer, _number, _one_or_many, _reals)
 from .problems import IsingProblem, hamiltonian
 
 __all__ = [
@@ -103,6 +104,7 @@ TWO_PI = 2.0 * np.pi
 _STREAM_INIT = 0
 _STREAM_DETUNE = 1
 _STREAM_NOISE = 2
+_STREAM_GENERATOR = 3  # generators.random_ising
 
 # steps per block, cut short at trace samples and at the end: block ends are where
 # divergence is checked and a trace samples. Each step draws its own normals, so
@@ -255,11 +257,9 @@ class PhaseState:
 
     def __post_init__(self):
         _finite(self.time, "time")
-        p = np.asarray(self.phases, dtype=np.float64)
+        p = _reals(self.phases, "phases")
         if p.ndim != 1:
             raise DimensionError("phases must be a 1D vector")
-        if not np.all(np.isfinite(p)):
-            raise SpecificationError("phases must be finite")
         object.__setattr__(self, "phases", p)
 
 
@@ -314,7 +314,7 @@ def _columns(problem, state, detuning=None):
     phi = state.phases
     if phi.shape != (problem.n,):
         raise DimensionError(f"state has {phi.shape[0]} phases, problem has n={problem.n}")
-    dw = np.zeros(problem.n) if detuning is None else np.asarray(detuning, dtype=np.float64)
+    dw = np.zeros(problem.n) if detuning is None else _reals(detuning, "detuning")
     if dw.shape != (problem.n,):
         raise DimensionError("detuning length must equal n")
     return phi.reshape(-1, 1), dw.reshape(-1, 1)
@@ -509,22 +509,13 @@ def step(state, problem, params, detuning=None, rng=None):
     return PhaseState(Phi[:, 0], state.time + dt)
 
 
-def _as_group(problem):
-    group = (problem,) if isinstance(problem, IsingProblem) else tuple(problem)
-    if not group:
-        raise SpecificationError("at least one IsingProblem is needed")
-    return group
-
-
 # what the variants of one batch must share: they differ only in the Ks
 # schedule and frequency variability
 _SHARED = ("K", "noise_amp", "cycles", "steps_per_cycle")
 
 
 def _as_variants(params):
-    variants = (params,) if isinstance(params, DynamicsParams) else tuple(params)
-    if not variants:
-        raise SpecificationError("at least one DynamicsParams variant is needed")
+    variants = _one_or_many(params, DynamicsParams, "params")
     for v in variants[1:]:
         if any(getattr(v, f) != getattr(variants[0], f) for f in _SHARED):
             raise SpecificationError(
@@ -552,7 +543,7 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     as simulate() documents. A trace covers one run: one problem, one
     variant and one seed.
     """
-    group = _as_group(problem)
+    group = _one_or_many(problem, IsingProblem, "problem")
     variants = _as_variants(params)
     params = variants[0]  # for the fields that every variant shares
     sizes = [p.n for p in group]
@@ -575,15 +566,10 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
         for b, seed in enumerate(seeds):
             first[:, b] = per_size(lambda m: _substream(seed, _STREAM_INIT).random(m) * TWO_PI)
     else:
-        init = np.asarray(initial_phases, dtype=np.float64)
-        if init.shape == (n,):
-            first[:] = init[:, None]
-        elif init.shape == (n, B):
-            first[:] = init
-        else:
+        init = _reals(initial_phases, "initial_phases")
+        if init.shape not in ((n,), (n, B)):
             raise DimensionError(f"initial_phases must have shape ({n},) or ({n}, {B})")
-        if not np.all(np.isfinite(first)):
-            raise SpecificationError("initial_phases must be finite")
+        first[:] = init.reshape(n, -1)
         first %= TWO_PI
     for v in range(1, V):
         Phi[:, v * B:(v + 1) * B] = first
@@ -662,7 +648,7 @@ def _runs(problem, params, seeds, trace_points=0):
     wall time evenly over the runs and attaches the energy trace, when
     there is one (a trace covers a single run).
     """
-    group = _as_group(problem)
+    group = _one_or_many(problem, IsingProblem, "problem")
     variants = _as_variants(params)
     for seed in seeds:
         _integer(seed, "seed", 0)
@@ -722,6 +708,8 @@ def run_seeds(problem, params, seeds):
     packing only amortize per-step overhead, and each run's secs is an
     even share of the integration's. Used by the benchmark harness.
     """
+    if not isinstance(seeds, Iterable):
+        raise SpecificationError("seeds must be an iterable of integers")
     seeds = list(seeds)
     if not seeds:
         return []

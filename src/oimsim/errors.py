@@ -1,7 +1,12 @@
-"""Exception types shared across the package, and the integer and real rules."""
+"""Exception types shared across the package, and the rule for each kind of input."""
 
+import contextlib
+import math
 import numbers
 import sys
+from collections.abc import Iterable
+
+import numpy as np
 
 
 class OimError(Exception):
@@ -76,3 +81,32 @@ def _finite(value, name, least=0, strict=False):
             and value <= sys.float_info.max):
         raise SpecificationError(f"{name} must be finite and {'>' if strict else '>='} {least}")
     return value
+
+
+def _reals(value, name):
+    """A new float64 array of value (an array, any other iterable or a scalar) if
+    each entry is a finite real number, not a bool, judging an array by its dtype
+    and a list by its entries' types; else SpecificationError with .index, the
+    first bad entry's flat index (None for ragged nesting)."""
+    entries = np.empty(0)
+    with contextlib.suppress(ValueError, OverflowError):  # ragged nesting; an int beyond float64
+        entries = value if isinstance(value, np.ndarray) else np.array(
+            list(value) if isinstance(value, Iterable) else value, dtype=object)
+        kinds = set(map(type, entries.flat)) if entries.dtype == object else {entries.dtype.type}
+        if (all(issubclass(t, numbers.Real) and t is not bool for t in kinds)
+                and np.isfinite(arr := entries.astype(np.float64)).all()):
+            return arr
+    error = SpecificationError(f"{name} must be finite real numbers, not booleans or strings")
+    k, x = next(((k, x) for k, x in enumerate(entries.flat) if not _number(x) or not (
+        abs(x) <= sys.float_info.max if isinstance(x, int) else math.isfinite(x))), (None, ()))
+    error.index = None if isinstance(x, (list, tuple, np.ndarray)) else k
+    raise error
+
+
+def _one_or_many(value, kind, name):
+    """(value,) if value is not iterable, else tuple(value); SpecificationError
+    unless that holds at least one item and each item is a `kind`."""
+    items = tuple(value) if isinstance(value, Iterable) else (value,)
+    if not items or not all(isinstance(x, kind) for x in items):
+        raise SpecificationError(f"{name} must be one {kind.__name__} or a non-empty sequence")
+    return items

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _STREAM_GENERATOR, _substream
 from .errors import SpecificationError, _integer
 from .problems import IsingProblem, _size
 
 __all__ = ["Complete", "Torus", "random_ising"]
-
-_GENERATOR_STREAM = 3  # RNG stream id, see dynamics module for the others
 
 
 @dataclass(frozen=True)
@@ -41,11 +40,6 @@ class Torus:
     def __post_init__(self):  # smaller grids would create duplicate wrap edges
         _integer(self.rows, "torus rows", 3)
         _integer(self.cols, "torus cols", 3)
-
-
-def _generator(seed):
-    ss = np.random.SeedSequence((_integer(seed, "seed", 0), _GENERATOR_STREAM))
-    return np.random.Generator(np.random.PCG64(ss))
 
 
 def _torus_edges(rows, cols, diagonals):
@@ -72,7 +66,7 @@ def random_ising(n, topology, seed):
     Deterministic in (n, topology, seed). Fields h are always zero.
     """
     _size(n)
-    rng = _generator(seed)
+    rng = _substream(_integer(seed, "seed", 0), _STREAM_GENERATOR)
     if isinstance(topology, Complete):
         iu, ju = np.triu_indices(n, k=1)
         vals = rng.integers(-1, 2, size=len(iu)).astype(np.float64)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, SpecificationError, _finite, _integer
-from .problems import hamiltonian
+from .problems import hamiltonian, random_spins
 
 __all__ = ["BRUTE_FORCE_MAX_N", "MINIMIZER_CAP", "BruteForceResult",
            "brute_force", "SaParams", "simulated_annealing"]
@@ -135,7 +135,7 @@ def simulated_annealing(problem, sa):
     """
     n = problem.n
     rng = np.random.default_rng(sa.seed)
-    s = (rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).astype(np.float64)
+    s = random_spins(n, rng).astype(np.float64)
 
     adj = problem.adjacency
     indptr, indices, data = adj.indptr, adj.indices, adj.data

@@ -7,19 +7,19 @@ The Ising energy minimized throughout this package is
 MAX-CUT instances map onto this form with J = -w and h = 0; the cut value
 is then recovered as (total_weight - H) / 2.
 
-Edge lists are validated by _canonical_edges alone and stored once, as
-sorted arrays: IsingProblem.couplings and WeightedGraph.edges are views.
+Edge lists are validated by _canonical_edges alone and stored once, as sorted
+arrays (couplings and edges are views). Edges and fields must hold finite real
+numbers, spins -1 or +1, else SpecificationError; a wrong length, DimensionError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionError, SpecificationError, _number
+from .errors import DimensionError, SpecificationError, _reals
 
 __all__ = [
     "IsingProblem",
@@ -55,44 +55,35 @@ def _canonical_edges(n, edges, *, what="coupling", integer=False):
     """Validate and sort an (i, j, value) edge list on n nodes, 1 <= n <=
     _MAX_N; returns int32/float64 arrays.
 
-    Entries are normalized to i < j and sorted by (i, j). Boolean entries,
-    self-loops, out-of-range indices, duplicate pairs, zero or non-finite
-    values are rejected, and with integer=True also non-integer values and
-    values of magnitude 2**53 or more (which float64 cannot hold exactly). A
-    rejection is a _RowError naming the first row that fails the check;
-    for a duplicate pair, the first row whose pair already appeared.
+    Entries are normalized to i < j and sorted by (i, j). Entries that are
+    not finite real numbers (errors._reals), self-loops, out-of-range
+    indices, duplicate pairs and zero values are rejected, and with
+    integer=True also non-integer values and values of magnitude 2**53 or
+    more (which float64 cannot hold exactly). A rejection is a _RowError
+    naming the first row that fails the check; for a duplicate pair, the
+    first row whose pair already appeared.
     """
     _size(n)
-    edges = edges if isinstance(edges, np.ndarray) else list(edges)
-    if len(edges) == 0:
-        return (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32),
-                np.empty(0, dtype=np.float64))
     try:
-        arr = np.asarray(edges, dtype=np.float64)
-    except OverflowError:  # a Python int beyond float64
-        big = float(np.finfo(np.float64).max)
-        row = next(k for k, e in enumerate(edges) if max(map(abs, e)) > big)
-        raise _RowError("value", f"{what} entry beyond float64", row) from None
-    if arr.ndim != 2 or arr.shape[1] != 3:
+        arr = _reals(edges, f"{what} list")
+    except SpecificationError as e:
+        if e.index is None or np.shape(edges)[1:] != (3,):  # ragged, or rows of another length
+            raise SpecificationError(f"{what} list must be (i, j, value) triples") from None
+        raise _RowError("value", str(e), e.index // 3) from None
+    if len(arr) and (arr.ndim != 2 or arr.shape[1] != 3):  # an empty list is no edges
         raise SpecificationError(f"{what} list must be (i, j, value) triples")
-    kinds = ({edges.dtype.type} if isinstance(edges, np.ndarray)
-             else set(map(type, chain.from_iterable(edges))))
-    if not kinds.isdisjoint({bool, np.bool_}):  # True is an int to Python, 1.0 to numpy
-        raise _RowError("value", f"{what} entries must be numbers, not booleans",
-                        next(k for k, e in enumerate(edges) if not all(map(_number, e))))
 
     def reject(kind, reason, mask):
         if mask.any():
             raise _RowError(kind, reason, int(np.argmax(mask)))
 
-    ii, jj, vv = arr.T
+    ii, jj, vv = arr.reshape(-1, 3).T
     lo = np.minimum(ii, jj)
     hi = np.maximum(ii, jj)
     reject("index", f"{what} indices must be integers",
            (ii != np.round(ii)) | (jj != np.round(jj)))
     reject("range", f"{what} index out of range [0, {n})", (lo < 0) | (hi >= n))
     reject("self", f"self-{what}", lo == hi)
-    reject("value", f"non-finite {what} value", ~np.isfinite(vv))
     reject("value", f"zero {what} values are not stored; drop them", vv == 0)
     if integer:
         reject("value", f"{what} weights must be integers", vv != np.round(vv))
@@ -131,14 +122,9 @@ class IsingProblem:
 
     def __init__(self, n, couplings=(), fields=None, name=None):
         ei, ej, jv = _canonical_edges(n, couplings)
-        if fields is None:
-            h = np.zeros(n)
-        else:
-            h = np.asarray(fields, dtype=np.float64).copy()
-            if h.shape != (n,):
-                raise DimensionError(f"fields must have length {n}")
-            if not np.all(np.isfinite(h)):
-                raise SpecificationError("non-finite field value")
+        h = np.zeros(n) if fields is None else _reals(fields, "fields")
+        if h.shape != (n,):
+            raise DimensionError(f"fields must have length {n}")
         self._store(n, _check_name(name), ei, ej, jv, h)
 
     def _store(self, n, name, ei, ej, jv, h):
@@ -244,14 +230,13 @@ class WeightedGraph:
 # --- spin configurations --------------------------------------------------
 
 def as_spins(spins, n):
-    """Validate a length-n vector of +/-1 entries; returns an int8 array."""
-    s = np.asarray(spins)
+    """Validate a length-n vector of +/-1 integers or floats; returns an int8 array."""
+    s = spins if isinstance(spins, np.ndarray) else _reals(spins, "spins")
     if s.shape != (n,):
         raise DimensionError(f"expected {n} spins, got shape {s.shape}")
-    s = s.astype(np.int8, copy=False)
-    if not np.all(np.abs(s) == 1):
+    if s.dtype.kind not in "iuf" or not np.all(np.abs(s) == 1):
         raise SpecificationError("spins must be -1 or +1")
-    return s
+    return s.astype(np.int8, copy=False)
 
 
 def random_spins(n, rng):
@@ -277,8 +262,6 @@ def cut_value(graph, spins):
     """Total weight of edges crossing the +/- partition encoded by spins."""
     s = as_spins(spins, graph.n_vertices)
     eu, ev, ew = graph.edge_arrays
-    if len(ew) == 0:
-        return 0
     crossed = s[eu] != s[ev]
     return int(ew[crossed].sum())
 
