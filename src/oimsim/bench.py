@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import statistics
-import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -34,7 +33,8 @@ import numpy as np
 
 from . import __version__ as _version
 from .dynamics import DynamicsParams, _as_variants, _share_cpus, _usable_cpus, run_seeds
-from .errors import CapacityError, SpecificationError, _integer, _number, _one_or_many, _reals
+from .errors import (CapacityError, SpecificationError, _finite_real, _integer, _one_or_many,
+                     _reals)
 from .io import BestKnownCatalog
 from .oracles import BRUTE_FORCE_MAX_N, brute_force
 from .problems import IsingProblem, cut_from_hamiltonian
@@ -82,12 +82,12 @@ class BenchmarkSpec:
             name, problem, tw = (*entry, None)[:3]
             if not isinstance(problem, IsingProblem):
                 raise SpecificationError(f"problem {name!r} is not an IsingProblem")
-            if not (tw is None or _number(tw) and abs(tw) <= sys.float_info.max):
+            if not (tw is None or _finite_real(tw)):
                 raise SpecificationError(
                     f"problem {name!r}: total_weight must be None or a finite real number")
             if str(name) in norm:
                 raise SpecificationError(f"problem name {str(name)!r} appears more than once")
-            norm[str(name)] = (str(name), problem, tw)
+            norm[str(name)] = (str(name), problem, None if tw is None else float(tw))
         object.__setattr__(self, "problems", tuple(norm.values()))
         brute = isinstance(self.oracle, str) and self.oracle == "brute"
         if not (brute or self.oracle is None or isinstance(self.oracle, BestKnownCatalog)):

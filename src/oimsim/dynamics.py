@@ -41,7 +41,7 @@ It draws each step's normals itself, from the PCG64 state of each seed's
 generator per distinct problem size, by numpy's ziggurat with numpy's
 tables (BSD licence, see _step.c): numpy's values. _steps draws them the
 same way with Generator.standard_normal, one step at a time. Problems of a
-size read its draws; seed slices run side by side on threads (see
+size read its draws; seed slices take turns on threads (see
 _integrate_batch).
 The kernel is compiled once per machine (cc -O3 -ffp-contract=off) into
 $XDG_CACHE_HOME/oimsim or ~/.cache/oimsim (delete it to rebuild) and
@@ -64,7 +64,6 @@ import json
 import math
 import os
 import subprocess
-import sys
 import tempfile
 import threading
 import time
@@ -80,7 +79,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import (DimensionError, NumericalDivergenceError, SpecificationError, _finite,
-                     _integer, _number, _one_or_many, _reals)
+                     _finite_real, _integer, _number, _one_or_many, _reals)
 from .problems import IsingProblem, hamiltonian
 
 __all__ = [
@@ -145,12 +144,12 @@ class KsSchedule:
     t1: float = 0.0
 
     def __post_init__(self):
-        _finite(self.level, "Ks level")
-        if not (_number(self.t0) and _number(self.t1)
-                and 0 <= self.t0 <= self.t1 <= sys.float_info.max):
+        object.__setattr__(self, "level", float(_finite(self.level, "Ks level")))
+        for name in ("t0", "t1"):
+            t = getattr(self, name)
+            object.__setattr__(self, name, float(t) if _finite_real(t) else math.nan)
+        if not 0 <= self.t0 <= self.t1:
             raise SpecificationError("ramp needs finite 0 <= t0 <= t1")
-        for name in ("level", "t0", "t1"):
-            object.__setattr__(self, name, float(getattr(self, name)))
 
     @classmethod
     def constant(cls, level):
@@ -199,13 +198,13 @@ class DynamicsParams:
     steps_per_cycle: int = DEFAULTS["steps_per_cycle"]
 
     def __post_init__(self):
-        _finite(self.K, "K", strict=True)
-        _finite(self.noise_amp, "noise_amp")
-        _finite(self.variability_pct, "variability_pct")
-        _finite(self.cycles, "cycles", strict=True)
+        for name, strict in (("K", True), ("noise_amp", False), ("variability_pct", False),
+                             ("cycles", True)):  # stored as Python numbers, as exported
+            object.__setattr__(self, name, _finite(getattr(self, name), name, strict=strict))
         spc = self.steps_per_cycle
         if not (_number(spc) and 1 <= spc < math.inf and int(spc) == spc):
             raise SpecificationError("steps_per_cycle must be a positive integer")
+        object.__setattr__(self, "steps_per_cycle", spc := int(spc))
         if spc >= 2**63 or self.cycles * spc >= 2**63:  # step counts are int64
             raise SpecificationError("cycles * steps_per_cycle must be below 2**63")
 
@@ -256,7 +255,7 @@ class PhaseState:
     time: float = 0.0
 
     def __post_init__(self):
-        _finite(self.time, "time")
+        object.__setattr__(self, "time", _finite(self.time, "time"))
         p = _reals(self.phases, "phases")
         if p.ndim != 1:
             raise DimensionError("phases must be a 1D vector")
@@ -559,30 +558,11 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     distinct = list(dict.fromkeys(sizes))
     rows = _rows(sizes)  # row i reads value rows[i] of a seed's per-size draws
     per_size = lambda draw: np.concatenate([draw(m) for m in distinct])[rows]  # noqa: E731
-
-    Phi = np.empty((n, V * B))
-    first = Phi[:, :B]
-    if initial_phases is None:
-        for b, seed in enumerate(seeds):
-            first[:, b] = per_size(lambda m: _substream(seed, _STREAM_INIT).random(m) * TWO_PI)
-    else:
+    if initial_phases is not None:
         init = _reals(initial_phases, "initial_phases")
         if init.shape not in ((n,), (n, B)):
             raise DimensionError(f"initial_phases must have shape ({n},) or ({n}, {B})")
-        first[:] = init.reshape(n, -1)
-        first %= TWO_PI
-    for v in range(1, V):
-        Phi[:, v * B:(v + 1) * B] = first
-
-    # columns without variability add +0.0, which is exact: Phi is never -0
-    dw = np.zeros((n, V * B))
-    for v, prm in enumerate(variants):
-        for b, seed in enumerate(seeds):
-            dw[:, v * B + b] = per_size(lambda m: sample_detuning(m, prm.variability_pct, seed))
-    dt_dw = dt * dw
-
-    gens = [[_substream(seed, _STREAM_NOISE) for _ in distinct] if params.noise_amp else []
-            for seed in seeds]
+        init = np.broadcast_to(init.reshape(n, -1), (n, B))
 
     h_col = _field_col(group)
     adj = sp.block_diag([p.adjacency for p in group], format="csr")
@@ -592,15 +572,26 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
     # an energy trace samples (time, E, rounded H) at block ends: every
     # multiple of `every` steps (from 0 when trace_points > 1) and the end
     every = -(-total_steps // (trace_points - 1)) if trace_points > 1 else total_steps
+    Phi = np.empty((n, V, B))
     samples, bad = [], []  # bad: (step, variant, seed index, row) of each divergence
 
     def integrate(b0, b1):
-        """Run seeds b0:b1 to the end or to a block end where any slice diverged."""
-        start.wait()  # no slice runs ahead while another thread is still starting
-        phi, dw = (np.ascontiguousarray(a.reshape(n, V, B)[:, :, b0:b1]).reshape(n, -1)
-                   for a in (Phi, dt_dw))  # every variant's columns
-        advance = bind(phi, adj, h_col, params.K * dt, dw,
-                       (gens[b0:b1], sizes, params.noise_amp * math.sqrt(dt)))
+        """Set up and run seeds b0:b1 to the end or to a block end where any slice
+        diverged, yielding the GIL after each block so that the slices interleave."""
+        mine = seeds[b0:b1]
+        if initial_phases is None:
+            phi = np.stack([per_size(lambda m: _substream(s, _STREAM_INIT).random(m) * TWO_PI)
+                            for s in mine], axis=1)
+        else:
+            phi = init[:, b0:b1] % TWO_PI
+        phi = np.tile(phi, V)  # every variant's columns
+        # columns without variability add +0.0, which is exact: phi is never -0
+        dt_dw = dt * np.stack([per_size(lambda m: sample_detuning(m, v.variability_pct, s))
+                               for v in variants for s in mine], axis=1)
+        gens = [[_substream(s, _STREAM_NOISE) for _ in distinct] if params.noise_amp else []
+                for s in mine]
+        advance = bind(phi, adj, h_col, params.K * dt, dt_dw,
+                       (gens, sizes, params.noise_amp * math.sqrt(dt)))
         done = 0
         while not (bad and done >= min(bad)[0]):
             if trace_points and (done == total_steps or trace_points > 1 and done % every == 0):
@@ -619,26 +610,23 @@ def _integrate_batch(problem, params, seeds, initial_phases=None, trace_points=0
             if not finite.all():  # the first diverged (variant, seed), then its first row
                 v, b = np.unravel_index(np.argmin(finite.all(axis=0)), finite.shape[1:])
                 bad.append((done, v, b0 + b, int(np.argmin(finite[:, v, b]))))
-        Phi.reshape(n, V, B)[:, :, b0:b1] = phi.reshape(n, V, -1)
+            time.sleep(0)  # hands the GIL to a waiting slice
+        Phi[:, :, b0:b1] = phi.reshape(n, V, -1)
 
     # free-running slices, so a slow core delays only its own; the earliest
     # block, then the first column of Phi, names a divergence at any split
     threads = getattr(_budget, "threads", None) or _usable_cpus()
     T = max(1, min(threads, B, n * V * B // _MIN_SLICE))
     cuts = [B * t // T for t in range(T + 1)]
-    start = threading.Barrier(T)
     with ThreadPoolExecutor(T) as pool:  # starts no thread when T = 1
-        try:
-            list((pool.map if T > 1 else map)(integrate, cuts, cuts[1:]))
-        finally:
-            start.abort()  # frees the waiting slices if a thread could not start
+        list((pool.map if T > 1 else map)(integrate, cuts, cuts[1:]))
     if bad:
         step, _, b, row = min(bad)
         p = int(np.searchsorted(offsets, row, side="right")) - 1
         raise NumericalDivergenceError(
             "non-finite phases", step=step, seed=seeds[b],
             problem=p if group[p].name is None else group[p].name)
-    return Phi, tuple(np.array(x) for x in zip(*samples)) if trace_points else None
+    return Phi.reshape(n, -1), tuple(np.array(x) for x in zip(*samples)) if trace_points else None
 
 
 def _runs(problem, params, seeds, trace_points=0):

@@ -74,13 +74,20 @@ def _integer(value, name, least):
     return value
 
 
+def _finite_real(value):
+    """Whether value is a real number (see _number) that is finite: an int by
+    its size, any other number by math.isfinite, so that no numpy scalar is cast."""
+    return _number(value) and (
+        abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value))
+
+
 def _finite(value, name, least=0, strict=False):
-    """value if it is a real number, finite and >= least (> least when strict),
-    never an integer beyond the float range; else SpecificationError."""
-    if not (_number(value) and (least < value if strict else least <= value)
-            and value <= sys.float_info.max):
+    """value as a Python number (a numpy scalar's .item()) if it is a finite
+    real number >= least (> least when strict); else SpecificationError."""
+    x = float(value) if _finite_real(value) else math.nan
+    if not (least < x if strict else least <= x):
         raise SpecificationError(f"{name} must be finite and {'>' if strict else '>='} {least}")
-    return value
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _reals(value, name):
@@ -97,8 +104,7 @@ def _reals(value, name):
                 and np.isfinite(arr := entries.astype(np.float64)).all()):
             return arr
     error = SpecificationError(f"{name} must be finite real numbers, not booleans or strings")
-    k, x = next(((k, x) for k, x in enumerate(entries.flat) if not _number(x) or not (
-        abs(x) <= sys.float_info.max if isinstance(x, int) else math.isfinite(x))), (None, ()))
+    k, x = next(((k, x) for k, x in enumerate(entries.flat) if not _finite_real(x)), (None, ()))
     error.index = None if isinstance(x, (list, tuple, np.ndarray)) else k
     raise error
 

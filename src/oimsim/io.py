@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, SpecificationError, _number
+from .errors import ParseError, SpecificationError, _reals
 from .problems import _MAX_N, IsingProblem, WeightedGraph, _RowError
 
 __all__ = [
@@ -147,10 +147,12 @@ def read_ising_json(text):
             fail(f"$.edges[{k}]", "edge must be [int, int, number]")
     h = obj.get("h")
     if h is not None:
-        if not isinstance(h, list) or len(h) != n:
-            fail("$.h", f"h must be a list of {n} numbers")
-        if not all(map(_number, h)):
-            fail("$.h", "h entries must be numbers")
+        try:
+            h = _reals(h, "h") if isinstance(h, list) else None
+        except SpecificationError:  # an entry that is no finite number
+            h = None
+        if h is None or h.shape != (n,):
+            fail("$.h", f"h must be a list of {n} finite numbers")
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         fail("$.name", "name must be a string")

@@ -8,12 +8,11 @@ incremental energy updates.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, SpecificationError, _finite, _integer
+from .errors import CapacityError, _finite, _integer
 from .problems import hamiltonian, random_spins
 
 __all__ = ["BRUTE_FORCE_MAX_N", "MINIMIZER_CAP", "BruteForceResult",
@@ -105,10 +104,10 @@ class SaParams:
 
     def __post_init__(self):
         _integer(self.iterations, "iterations", 1)
-        _finite(self.T_final, "T_final", strict=True)
-        if self.T_initial is not None and not (
-                self.T_final <= self.T_initial <= sys.float_info.max):
-            raise SpecificationError("T_initial must be finite and >= T_final")
+        object.__setattr__(self, "T_final", _finite(self.T_final, "T_final", strict=True))
+        if self.T_initial is not None:
+            object.__setattr__(self, "T_initial",
+                               _finite(self.T_initial, "T_initial", least=self.T_final))
         if self.moves_per_temp is not None:
             _integer(self.moves_per_temp, "moves_per_temp", 1)
         _integer(self.seed, "seed", 0)

@@ -41,6 +41,19 @@ def test_workflow_runs_the_numpy_fallback():
             "tests/test_dynamics.py") in " ".join(step.replace("\\\n", " ").split())
 
 
+def test_workflow_repeats_the_slice_scheduling_tests():
+    # five runs in a loop, then one on one CPU: each may pass by luck of the
+    # thread scheduler
+    tier1 = WORKFLOW.read_text(encoding="utf-8").split("tier1:")[1].split("min-versions:")[0]
+    step = tier1.split("- name: Slice scheduling")[1].split("- name:")[0].split("run: |")[1]
+    tests = 'tests/test_kernel.py -k "TestSeedSlices or TestDivergence"'
+    lines = [" ".join(line.split()) for line in step.strip().splitlines()]
+    assert lines == ["for i in 1 2 3 4 5; do",
+                     f"PYTHONPATH=src python -m pytest -q {tests} || exit 1",
+                     "done",
+                     f"PYTHONPATH=src taskset -c 0 python -m pytest -q {tests}"]
+
+
 def test_workflow_runs_every_demo():
     # 04 needs published G-set files, which the runner cannot download
     demos = WORKFLOW.read_text(encoding="utf-8").split("- name: Demos")[1].split("- name:")[0]

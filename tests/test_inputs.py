@@ -2,12 +2,14 @@
 or DimensionError (never a bare numpy error or warning), and every real
 dtype builds bit-identical problems, phases and energies."""
 
+import json
+
 import numpy as np
 import pytest
 
-from oimsim import (BenchmarkSpec, DimensionError, DynamicsParams, IsingProblem, PhaseState,
-                    SpecificationError, WeightedGraph, cut_value, drift, hamiltonian, histogram,
-                    lyapunov, run_benchmark, run_seeds, step)
+from oimsim import (BenchmarkSpec, DimensionError, DynamicsParams, IsingProblem, KsSchedule,
+                    PhaseState, SaParams, SpecificationError, WeightedGraph, cut_value, drift,
+                    export, hamiltonian, histogram, lyapunov, run_benchmark, run_seeds, step)
 from oimsim.dynamics import _integrate_batch
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -138,3 +140,43 @@ def test_every_real_dtype_is_bit_identical(kind):
                 float.hex(hamiltonian(problem, convert(spins))), cut_value(graph, convert(spins)))
 
     assert outputs(lambda v: as_kind(v, kind)) == outputs(lambda v: np.array(v, np.float64))
+
+
+# the module's filterwarnings turns the "overflow encountered in cast" of a
+# float32 or float16 compared with the float range into an error
+@pytest.mark.parametrize("make", [
+    lambda: DynamicsParams(K=np.float32(1)),
+    lambda: KsSchedule(1.0, np.float32(0), np.float32(1)),
+    lambda: KsSchedule(1.0, np.float16(0), 1e300),
+    lambda: BenchmarkSpec(problems=(("p", P, np.float32(3)),)),
+    lambda: PhaseState(np.zeros(2), time=np.float16(1)),
+    lambda: SaParams(iterations=10, T_initial=1e300, T_final=np.float16(1)),
+], ids=["K", "ramp", "ramp_mixed", "total_weight", "time", "temperatures"])
+def test_numpy_scalars_are_checked_without_a_cast(make):
+    make()
+
+
+@pytest.mark.parametrize("T_initial", ["5", True], ids=["string", "true"])
+def test_start_temperature_is_a_finite_number(T_initial):
+    with pytest.raises(SpecificationError, match="T_initial"):
+        SaParams(iterations=10, T_initial=T_initial)
+
+
+def untimed_export(K, noise_amp, variability_pct, cycles, steps_per_cycle, total_weight):
+    """The JSON export of one run of P, without the timing that no two runs share."""
+    prm = DynamicsParams(K=K, noise_amp=noise_amp, variability_pct=variability_pct,
+                         cycles=cycles, steps_per_cycle=steps_per_cycle)
+    obj = json.loads(export(run_benchmark(
+        BenchmarkSpec(problems=(("p", P, total_weight),), params=prm, runs=1))))
+    del obj["timing"]
+    return json.dumps(obj, sort_keys=True)
+
+
+def test_numpy_typed_params_export_as_python_numbers():
+    # params store Python numbers (steps_per_cycle an int, a total weight a
+    # float), so numpy scalars export what Python numbers of their kind do
+    assert (untimed_export(np.float32(1), np.int64(0), np.float16(0), np.float32(1), 4.0,
+                           np.float32(3))
+            == untimed_export(1.0, 0, 0.0, 1.0, 4, 3.0))
+    assert json.dumps(DynamicsParams(steps_per_cycle=100.0).to_config()) == json.dumps(
+        DynamicsParams().to_config())

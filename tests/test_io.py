@@ -278,6 +278,12 @@ class TestIsingJson:
             read_ising_json('{"n": 2, "h": [0]}')
         assert "$.h" in str(ei.value)
 
+    @pytest.mark.parametrize("h", ["[0, Infinity]", "[0, 1e400]", "[0, true]", "[0, \"1\"]",
+                                   "[[0], [1]]", "[[0], [1, 2]]", "{}"])
+    def test_bad_fields_fail_at_h(self, h):
+        with pytest.raises(ParseError, match=r"\(at \$\.h\)"):
+            read_ising_json(f'{{"n": 2, "h": {h}}}')
+
     def test_size_beyond_int32(self):
         with pytest.raises(ParseError, match=r"from 1 to 2\*\*31 - 1 \(at \$\.n\)"):
             read_ising_json('{"n": 3000000000, "edges": []}')

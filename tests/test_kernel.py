@@ -5,6 +5,7 @@ of _steps is the reference. Every test here asks for equal bits.
 """
 
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -299,9 +300,11 @@ class TestDivergence:
         assert found == [(2, 4, "bad")] * 3
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_stops_every_slice(self, monkeypatch):
-        # one-step blocks over 4,000 steps: 'bad' diverges at step 2 in the
-        # second slice, and the first stops soon after instead of at the end
+    @pytest.mark.parametrize("col", [0, 2], ids=["first_slice", "last_slice"])
+    def test_divergence_stops_every_slice(self, col, monkeypatch):
+        # one-step blocks over 4,000 steps: 'bad' diverges at step 2 in column
+        # col, and the other slice, on whichever thread runs first, stops soon
+        # after instead of at the end
         monkeypatch.setattr(dyn, "_load_kernel", lambda: None)
         calls, real = [], dyn._steps
         monkeypatch.setattr(dyn, "_steps", lambda *a: calls.append(1) or real(*a))
@@ -310,11 +313,12 @@ class TestDivergence:
         bad = IsingProblem(2, [(0, 1, 1.5e308)], name="bad")
         prm = DynamicsParams(K=1.0, noise_amp=0.0, cycles=4000.0, steps_per_cycle=1,
                              ks_schedule=KsSchedule.constant(5e307))
-        init = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, np.pi / 4, 0.0]])
+        init = np.zeros((2, 4))
+        init[1, col] = np.pi / 4
         with pytest.raises(NumericalDivergenceError) as ei:
             dyn._integrate_batch(bad, prm, [3, 4, 5, 6], initial_phases=init)
-        assert (ei.value.step, ei.value.seed) == (2, 5)
-        assert len(calls) < 2000  # 4,000 per slice if the first ran to the end
+        assert (ei.value.step, ei.value.seed) == (2, 3 + col)
+        assert len(calls) < 2000  # 4,000 per slice if the other ran to the end
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_many_slices_switching_often(self, monkeypatch):
@@ -391,30 +395,30 @@ class TestSeedSlices:
         assert [t for _, t in slices] == [1, 3]
 
     @pytest.mark.usefixtures("split_small")
-    def test_slices_start_together(self, monkeypatch):
-        # two slices of a noise-free 2-spin problem in 1,000 one-step blocks
-        # on the numpy path, which keeps the GIL at this size: the second
-        # slice's first block runs before the first slice's 100th. Each
-        # call is logged by its slice's phase matrix, in order; each slice
-        # owns its phase matrix, so the matrix's first phase before its first
-        # step (0.1 for seed 1, 0.2 for seed 2) names the slice.
-        monkeypatch.setattr(dyn, "_load_kernel", lambda: None)
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_slices_take_turns(self, fused, monkeypatch):
+        # two slices of a noise-free 2-spin problem in 1,000 one-step blocks,
+        # which keeps the GIL on the numpy path: each block ends by yielding
+        # it, so in none of 5 integrations does a slice run more than 500 of
+        # its blocks in a row. Each block is logged by its slice's first phase
+        # before its first step: 0.1 for seed 1, 0.2 for seed 2.
+        bind = kernel_or_skip() if fused else dyn._bind_numpy
+        log = []
+
+        def logged(Phi, *args):
+            advance, name = bind(Phi, *args), Phi[0, 0]
+            return lambda ks_cols: log.append(name) or advance(ks_cols)
+
+        monkeypatch.setattr(dyn, "_load_kernel", lambda: logged)
         monkeypatch.setattr(dyn, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(dyn, "_BLOCK_STEPS", 1)
-        log, start, real = [], {}, dyn._steps
-
-        def logged(*a):
-            start.setdefault(a[0].ctypes.data, a[0][0, 0])
-            log.append(a[0].ctypes.data)
-            real(*a)
-
-        monkeypatch.setattr(dyn, "_steps", logged)
         prm = DynamicsParams(noise_amp=0.0, cycles=1000.0, steps_per_cycle=1)
-        dyn._integrate_batch(IsingProblem(2, [(0, 1, 1.0)]), prm, [1, 2],
-                             initial_phases=[[0.1, 0.2], [1.0, 1.0]])
-        first, second = sorted(start, key=start.get)
-        assert log.count(first) == log.count(second) == 1000
-        assert log.index(second) < [i for i, z in enumerate(log) if z == first][99]
+        for _ in range(5):
+            log.clear()
+            dyn._integrate_batch(IsingProblem(2, [(0, 1, 1.0)]), prm, [1, 2],
+                                 initial_phases=[[0.1, 0.2], [1.0, 1.0]])
+            assert (log.count(0.1), log.count(0.2)) == (1000, 1000)
+            assert max(len(list(run)) for _, run in itertools.groupby(log)) <= 500
 
     def test_small_integrations_keep_one_thread(self, monkeypatch, slices):
         # each thread needs _MIN_SLICE = 256 phases: 100 spins x 2 seeds
